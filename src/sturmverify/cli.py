@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -67,8 +68,12 @@ def _validate_verify(args) -> str | None:
         return f"--max-genus must be >= 1 (got {args.max_genus})"
     if args.q is not None and not 0 <= args.q <= args.m:
         return f"--q must lie in 0..{args.m} (got {args.q})"
-    if args.nu is not None and args.nu <= args.m - 1:
-        return f"--nu must exceed m-1 = {args.m - 1} (got {args.nu})"
+    if not math.isfinite(args.s):
+        return f"--s must be finite (got {args.s})"
+    if args.seed < 0:
+        return f"--seed must be >= 0 (got {args.seed})"
+    if args.nu is not None and not (math.isfinite(args.nu) and args.nu > args.m - 1):
+        return f"--nu must be finite and exceed m-1 = {args.m - 1} (got {args.nu})"
     return None
 
 

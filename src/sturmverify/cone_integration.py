@@ -20,6 +20,15 @@ environment variable STURM_THREADS merely caps for speed.
 Diagnostics: samples with non-finite weight or integrand are rejected and
 counted; the estimate is flagged ``diverged`` unless the standard error
 shrinks roughly like 1/sqrt(N) across three sample doublings.
+
+Bundled integrands: an integrand may return a tuple of components that
+share one draw (the samples, the importance weights and Y are computed
+once per chunk).  Each component is then reduced exactly as it would be
+alone: its own finite mask and ``rejected`` count, its own pairwise chunk
+sums and effective sample size, and its own ``diverged`` gate.  A sample
+that one component rejects still counts in the others.  Each component's
+estimate is therefore bitwise the one a lone integral of that component,
+with the same seed, scale, nu and budget, would give.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior_algebra import exterior_power_batch, trace_sandwich
+from .exterior_algebra import exterior_power_batch, sandwich_esp_all
 from .special_functions import FOUR_PI, c_poch, gamma_m, log_gamma_m
 
 # a doubling counts against convergence when stderr shrinks by less than this
@@ -75,6 +84,7 @@ def _worker_count() -> int:
 
 
 def _chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
+    """(bundled, per-component partial sums) of one chunk's shared draw."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     a = np.zeros((count, m, m))
     for i in range(m):
@@ -90,7 +100,13 @@ def _chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
     log_q = 0.5 * (nu - m - 1.0) * logdet_y - 0.5 * tr_viy - log_norm
     log_w = -0.5 * (m + 1.0) * logdet_y - log_q
     w = np.exp(log_w)
-    fx = np.asarray(f(y), dtype=float)
+    out = f(y)
+    bundled = isinstance(out, tuple)
+    components = out if bundled else (out,)
+    return bundled, [_component_partials(np.asarray(fx, dtype=float), w, count) for fx in components]
+
+
+def _component_partials(fx, w, count):
     x = fx * (w if fx.ndim == 1 else w[:, None, None])
     finite = np.isfinite(w)
     finite &= np.isfinite(x) if x.ndim == 1 else np.isfinite(x).all(axis=(1, 2))
@@ -140,14 +156,39 @@ def _diverged(partials) -> bool:
     return bad >= 2 or final_stalled
 
 
-def integrate_invariant(f, m: int, params: MonteCarloParams, *, scale=None, nu_default=None) -> IntegralEstimate:
+def _estimate(partials) -> IntegralEstimate:
+    """Combine one component's per-chunk partial sums, in chunk order."""
+    sum_x, sum_x2, sum_w, sum_w2, n_total, n_rej = _pairwise_sum(partials)
+    mean = sum_x / n_total
+    var = np.maximum(sum_x2 / n_total - mean * mean, 0.0)
+    stderr = np.sqrt(var / n_total)
+    ess = (sum_w * sum_w / sum_w2) if sum_w2 > 0.0 else 0.0
+    return IntegralEstimate(
+        value=float(mean) if np.ndim(mean) == 0 else mean,
+        stderr=float(stderr) if np.ndim(stderr) == 0 else stderr,
+        samples=int(n_total),
+        effective_samples=float(ess),
+        rejected=int(n_rej),
+        diverged=_diverged(partials),
+    )
+
+
+def integrate_invariant(
+    f, m: int, params: MonteCarloParams, *, scale=None, nu_default=None
+) -> IntegralEstimate | tuple:
     """Estimate the invariant-measure integral of ``f`` over SPD matrices.
 
     ``f`` receives a batch (n, m, m) of SPD samples and must return (n,)
-    scalars or (n, d, d) matrices.  The proposal scale ``V`` defaults to
-    E/2, matched to exp(-trace Y) targets; callers with a different
-    exponential factor pass their own.  Degrees of freedom: ``params.nu``
-    overrides ``nu_default`` overrides m + 1, and must exceed m - 1.
+    scalars or (n, d, d) matrices, or a tuple of such components that share
+    the draw.  A plain array gives one ``IntegralEstimate``; a tuple gives a
+    tuple of estimates, one per component, each reduced on its own: a
+    sample whose weight or component value is non-finite is masked and
+    counted in that component's ``rejected`` only, and each component has
+    its own effective sample size and ``diverged`` gate.  The proposal
+    scale ``V`` defaults to E/2, matched to exp(-trace Y) targets; callers
+    with a different exponential factor pass their own.  Degrees of
+    freedom: ``params.nu`` overrides ``nu_default`` overrides m + 1, and
+    must exceed m - 1.
     """
     nu = params.nu if params.nu is not None else (nu_default if nu_default is not None else m + 1.0)
     if nu <= m - 1:
@@ -179,19 +220,9 @@ def integrate_invariant(f, m: int, params: MonteCarloParams, *, scale=None, nu_d
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run, chunks))
 
-    sum_x, sum_x2, sum_w, sum_w2, n_total, n_rej = _pairwise_sum(partials)
-    mean = sum_x / n_total
-    var = np.maximum(sum_x2 / n_total - mean * mean, 0.0)
-    stderr = np.sqrt(var / n_total)
-    ess = (sum_w * sum_w / sum_w2) if sum_w2 > 0.0 else 0.0
-    return IntegralEstimate(
-        value=float(mean) if np.ndim(mean) == 0 else mean,
-        stderr=float(stderr) if np.ndim(stderr) == 0 else stderr,
-        samples=int(n_total),
-        effective_samples=float(ess),
-        rejected=int(n_rej),
-        diverged=_diverged(partials),
-    )
+    bundled = partials[0][0]
+    estimates = tuple(_estimate(list(parts)) for parts in zip(*(parts for _, parts in partials)))
+    return estimates if bundled else estimates[0]
 
 
 def i_q_closed(m: int, q: int, s) -> float:
@@ -206,39 +237,67 @@ def i_q_closed(m: int, q: int, s) -> float:
     return (-FOUR_PI) ** (-q) * FOUR_PI ** (-m * sf) * math.comb(m, q) * c_poch(q, -sf) * g
 
 
-def i_q_numeric(m: int, q: int, s, t_mat, params: MonteCarloParams) -> IntegralEstimate:
+def _degrees(m: int, q) -> list:
+    """Validated degree list of ``q``, one degree or a sequence of them."""
+    degrees = [q] if np.ndim(q) == 0 else list(q)
+    if not degrees:
+        raise ValueError("at least one degree is required")
+    for d in degrees:
+        if not 0 <= d <= m:
+            raise ValueError(f"q={d} out of range 0..{m}")
+    return degrees
+
+
+def i_q_numeric(m: int, q, s, t_mat, params: MonteCarloParams):
     """Monte Carlo oracle for the exterior-trace integral
 
         int trace((Y^{1/2} T Y^{1/2})^[q]) det(TY)^s exp(-4 pi tr(TY)) dY_inv .
 
     The estimand is independent of the SPD matrix ``t_mat`` (invariance of
-    the measure); distinct choices must agree within error.
+    the measure); distinct choices must agree within error.  ``q`` is one
+    degree, giving one estimate, or a sequence of degrees, giving a tuple
+    of estimates in the same order from one shared draw; each equals the
+    single-degree estimate bitwise.
     """
+    degrees = _degrees(m, q)
     t = np.asarray(t_mat, dtype=float)
     det_t = float(np.linalg.det(t))
     sf = float(s)
+    qmax = max(degrees)
 
     def integrand(y):
-        ts = trace_sandwich(y, t, q)
+        esp = sandwich_esp_all(y, t, qmax)
         dets = np.linalg.det(y)
         tr = np.einsum("ij,nji->n", t, y)
-        return ts * (det_t * dets) ** sf * np.exp(-FOUR_PI * tr)
+        power = (det_t * dets) ** sf
+        decay = np.exp(-FOUR_PI * tr)
+        return tuple(esp[:, d] * power * decay for d in degrees)
 
     scale = np.linalg.inv(t) / (2.0 * FOUR_PI)
-    return integrate_invariant(integrand, m, params, scale=scale, nu_default=m + 2.0 * sf)
+    estimates = integrate_invariant(integrand, m, params, scale=scale, nu_default=m + 2.0 * sf)
+    return estimates if np.ndim(q) else estimates[0]
 
 
-def q_trace_integral_num(m: int, q: int, s, params: MonteCarloParams) -> IntegralEstimate:
+def q_trace_integral_num(m: int, q, s, params: MonteCarloParams, *, plain: bool = False):
     """Monte Carlo oracle for the matrix-valued integral
 
         int Y^[q] exp(-trace Y) det(Y)^s dY_inv = (-1)^q C_q(-s) Gamma_m(s) E .
+
+    ``q`` is one degree, giving one estimate, or a sequence of degrees,
+    giving a tuple of estimates in the same order from one shared draw.
+    With ``plain`` the scalar integral of exp(-trace Y) det(Y)^s is
+    estimated from the same draw too and appended last, so one degree
+    then gives a pair.
     """
+    degrees = _degrees(m, q)
     sf = float(s)
 
     def integrand(y):
-        pw = exterior_power_batch(y, q)
         dets = np.linalg.det(y)
         tr = np.trace(y, axis1=1, axis2=2)
-        return pw * (dets ** sf * np.exp(-tr))[:, None, None]
+        weight = dets ** sf * np.exp(-tr)
+        mats = tuple(exterior_power_batch(y, d) * weight[:, None, None] for d in degrees)
+        return mats + (weight,) if plain else mats
 
-    return integrate_invariant(integrand, m, params, scale=0.5 * np.eye(m), nu_default=m + 2.0 * sf)
+    estimates = integrate_invariant(integrand, m, params, scale=0.5 * np.eye(m), nu_default=m + 2.0 * sf)
+    return estimates if np.ndim(q) or plain else estimates[0]

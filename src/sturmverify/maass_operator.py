@@ -130,7 +130,14 @@ class FourierExpansion:
     @classmethod
     def from_json(cls, data) -> "FourierExpansion":
         try:
-            terms = {HalfIntegralForm(t["twoT"]): float(t["b"]) for t in data["terms"]}
+            terms = {}
+            for t in data["terms"]:
+                form, b = HalfIntegralForm(t["twoT"]), float(t["b"])
+                if not math.isfinite(b):
+                    raise ValueError(f"coefficient b={b} of twoT={form.to_json()} is not finite")
+                if form in terms:
+                    raise ValueError(f"index twoT={form.to_json()} appears more than once")
+                terms[form] = b
             return cls(int(data["m"]), int(data["k"]), terms)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed expansion data: {exc}") from exc

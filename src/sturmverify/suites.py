@@ -459,17 +459,26 @@ def run_cone(
     t_one = np.eye(m)
     t_two = random_spd(rng, m)
     diverged = 0
-    est_cache = {}
 
     # distinct seed for the second index matrix: with a shared seed the
     # built-in change of variables makes the two runs bitwise-identical
     params_two = MonteCarloParams(samples=samples, seed=seed + 1000, nu=nu)
 
-    for q in qs:
-        closed = i_q_closed(m, q, s)
-        est_one = i_q_numeric(m, q, s, t_one, params)
-        est_two = i_q_numeric(m, q, s, t_two, params_two)
-        est_cache[q] = est_one
+    # closed forms before any sampling: a pole in them is bad input
+    closed_iq = {q: i_q_closed(m, q, s) for q in qs}
+
+    # integrals sharing seed, scale, nu and budget share one draw; the
+    # stderr-scaling check's reference degree rides along with t_one
+    q_ref = min(1, m)
+    one_qs = sorted(set(qs) | {q_ref})
+    ests_one = dict(zip(one_qs, i_q_numeric(m, one_qs, s, t_one, params)))
+    ests_two = dict(zip(qs, i_q_numeric(m, qs, s, t_two, params_two)))
+    *mats, est_plain = q_trace_integral_num(m, qs, s, params, plain=True)
+
+    for q, mat in zip(qs, mats):
+        closed = closed_iq[q]
+        est_one = ests_one[q]
+        est_two = ests_two[q]
         diverged += int(est_one.diverged) + int(est_two.diverged)
         records.append(
             CheckRecord.compare(
@@ -504,7 +513,6 @@ def run_cone(
             )
         )
 
-        mat = q_trace_integral_num(m, q, s, params)
         diverged += int(mat.diverged)
         closed_mat = float((-1) ** q * c_poch(q, -float(s)) * gamma_m(m, s))
         diag_err = float(np.max(np.abs(np.diag(np.atleast_2d(mat.value)) - closed_mat)))
@@ -575,14 +583,10 @@ def run_cone(
     # invariance spot check: substituting Y -> g^T Y g leaves the integral alone
     g = rng.uniform(-1.0, 1.0, size=(m, m)) + 2.0 * np.eye(m)
 
-    def f_plain(y):
-        return np.linalg.det(y) ** float(s) * np.exp(-np.trace(y, axis1=1, axis2=2))
-
     def f_moved(y):
         moved = np.einsum("ji,njk,kl->nil", g, y, g)
         return np.linalg.det(moved) ** float(s) * np.exp(-np.trace(moved, axis1=1, axis2=2))
 
-    est_plain = integrate_invariant(f_plain, m, params, nu_default=m + 2.0 * float(s))
     moved_scale = np.linalg.solve(2.0 * g @ g.T, np.eye(m))
     est_moved = integrate_invariant(
         f_moved, m, params, scale=moved_scale, nu_default=m + 2.0 * float(s)
@@ -602,10 +606,8 @@ def run_cone(
     # stderr must scale ~1/sqrt(N): halve the budget, compare
     if samples >= 16:
         half_params = MonteCarloParams(samples=samples // 2, seed=seed + 1, nu=nu)
-        q_ref = min(1, m)
         est_half = i_q_numeric(m, q_ref, s, t_one, half_params)
-        est_full = est_cache[q_ref] if q_ref in est_cache else i_q_numeric(m, q_ref, s, t_one, params)
-        ratio = est_full.stderr / est_half.stderr
+        ratio = ests_one[q_ref].stderr / est_half.stderr
         records.append(
             CheckRecord.compare(
                 "cone.stderr_scaling",

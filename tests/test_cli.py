@@ -66,6 +66,16 @@ class TestVerify:
         assert main(["verify", "cone", "--nu", "0.5"]) == 2
         assert main(["verify", "cone", "--samples", "0"]) == 2
 
+    def test_non_finite_shift_exits_2(self, capsys):
+        for flag, value in (("--s", "nan"), ("--s", "inf"), ("--nu", "nan"), ("--nu", "inf")):
+            assert main(["verify", "cone", flag, value, "--samples", "1000"]) == 2
+            assert "must be finite" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys):
+        for suite in ("all", "pm"):
+            assert main(["verify", suite, "--seed", "-1", "--quick"]) == 2
+            assert "--seed must be >= 0" in capsys.readouterr().err
+
     def test_pole_parameters_exit_2(self):
         # weight 0 at genus 2 drives the closed form onto a gamma pole
         assert main(["verify", "sturm", "--k", "0", "--quick", "--samples", "1000"]) == 2
@@ -138,3 +148,17 @@ class TestPhantom:
     def test_invalid_index_matrix_exits_2(self, tmp_path):
         src = write_expansion(tmp_path / "in.json", 2, 1, [{"twoT": [[1, 0], [0, 2]], "b": 1.0}])
         assert main(["phantom", src]) == 2
+
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys):
+        for b in (math.nan, math.inf):
+            src = write_expansion(tmp_path / "in.json", 2, 1, [{"twoT": [[2, 0], [0, 2]], "b": b}])
+            assert main(["phantom", src]) == 2
+            captured = capsys.readouterr()
+            assert "not finite" in captured.err
+            assert captured.out == ""
+
+    def test_duplicate_index_exits_2(self, tmp_path, capsys):
+        terms = [{"twoT": [[2, 1], [1, 2]], "b": 1.0}, {"twoT": [[2, 1], [1, 2]], "b": 2.0}]
+        src = write_expansion(tmp_path / "in.json", 2, 1, terms)
+        assert main(["phantom", src]) == 2
+        assert "more than once" in capsys.readouterr().err

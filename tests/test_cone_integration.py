@@ -10,7 +10,9 @@ from sturmverify import (
     i_q_numeric,
     integrate_invariant,
 )
+from sturmverify import suites
 from sturmverify.cone_integration import q_trace_integral_num
+from sturmverify.exterior_algebra import exterior_power_batch, trace_sandwich
 
 FOUR_PI = 4 * math.pi
 
@@ -133,3 +135,113 @@ class TestMatrixIntegral:
         assert 0 < est.effective_samples <= est.samples
         assert est.value.shape == (2, 2)
         assert est.stderr.shape == (2, 2)
+
+
+# Lone integrands written out one degree at a time, as the estimators were
+# before degrees shared a draw: the oracle for the bundled passes.
+
+
+def lone_i_q(m, q, s, t, params):
+    det_t = float(np.linalg.det(t))
+
+    def integrand(y):
+        ts = trace_sandwich(y, t, q)
+        dets = np.linalg.det(y)
+        tr = np.einsum("ij,nji->n", t, y)
+        return ts * (det_t * dets) ** s * np.exp(-FOUR_PI * tr)
+
+    scale = np.linalg.inv(t) / (2.0 * FOUR_PI)
+    return integrate_invariant(integrand, m, params, scale=scale, nu_default=m + 2.0 * s)
+
+
+def lone_q_trace(m, q, s, params):
+    def integrand(y):
+        pw = exterior_power_batch(y, q)
+        dets = np.linalg.det(y)
+        tr = np.trace(y, axis1=1, axis2=2)
+        return pw * (dets**s * np.exp(-tr))[:, None, None]
+
+    return integrate_invariant(integrand, m, params, scale=0.5 * np.eye(m), nu_default=m + 2.0 * s)
+
+
+def lone_plain(m, s, params):
+    def f_plain(y):
+        return np.linalg.det(y) ** s * np.exp(-np.trace(y, axis1=1, axis2=2))
+
+    return integrate_invariant(f_plain, m, params, nu_default=m + 2.0 * s)
+
+
+def assert_identical(a, b):
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(a.stderr, b.stderr)
+    assert np.ndim(a.value) == np.ndim(b.value)
+    assert a.samples == b.samples
+    assert a.effective_samples == b.effective_samples
+    assert a.rejected == b.rejected
+    assert a.diverged == b.diverged
+
+
+class TestBundledDraw:
+    # ten chunks, so the divergence gate runs on every component
+    PARAMS = MonteCarloParams(samples=20_000, seed=17, chunk_size=2048)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_i_q_bundle_equals_lone_degrees(self, m, threads, monkeypatch):
+        monkeypatch.setenv("STURM_THREADS", threads)
+        t = np.eye(m) + 0.2 * np.ones((m, m))
+        bundle = i_q_numeric(m, range(m + 1), 2.5, t, self.PARAMS)
+        assert len(bundle) == m + 1
+        for q, est in enumerate(bundle):
+            assert_identical(est, i_q_numeric(m, q, 2.5, t, self.PARAMS))
+            assert_identical(est, lone_i_q(m, q, 2.5, t, self.PARAMS))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_q_trace_bundle_equals_lone_degrees(self, m, threads, monkeypatch):
+        monkeypatch.setenv("STURM_THREADS", threads)
+        *mats, plain = q_trace_integral_num(m, list(range(m + 1)), 2.5, self.PARAMS, plain=True)
+        assert len(mats) == m + 1
+        for q, est in enumerate(mats):
+            assert est.value.shape == (math.comb(m, q),) * 2
+            assert_identical(est, q_trace_integral_num(m, q, 2.5, self.PARAMS))
+            assert_identical(est, lone_q_trace(m, q, 2.5, self.PARAMS))
+        assert_identical(plain, lone_plain(m, 2.5, self.PARAMS))
+
+    def test_components_reject_on_their_own(self):
+        def clean(y):
+            return np.exp(-np.trace(y, axis1=1, axis2=2)) * np.linalg.det(y) ** 2
+
+        def spotty(y):
+            out = clean(y)
+            out[y[:, 0, 0] > 1.5] = np.nan
+            return out
+
+        est_clean, est_spotty = integrate_invariant(lambda y: (clean(y), spotty(y)), 2, self.PARAMS)
+        assert est_clean.rejected == 0
+        assert est_spotty.rejected > 0
+        assert est_spotty.samples == est_clean.samples == self.PARAMS.samples
+        assert_identical(est_clean, integrate_invariant(clean, 2, self.PARAMS))
+        assert_identical(est_spotty, integrate_invariant(spotty, 2, self.PARAMS))
+
+    def test_degree_validation(self):
+        with pytest.raises(ValueError):
+            i_q_numeric(2, [0, 3], 2.5, np.eye(2), self.PARAMS)
+        with pytest.raises(ValueError):
+            q_trace_integral_num(2, [], 2.5, self.PARAMS)
+
+    @pytest.mark.parametrize("m, q_only", [(2, None), (3, None), (2, 0)])
+    def test_run_cone_records_match_lone_passes(self, m, q_only, monkeypatch):
+        def i_q_lone(m_, q, s_, t, params):
+            if np.ndim(q) == 0:
+                return lone_i_q(m_, q, float(s_), t, params)
+            return tuple(lone_i_q(m_, d, float(s_), t, params) for d in q)
+
+        def q_trace_lone(m_, qs, s_, params, plain=False):
+            mats = tuple(lone_q_trace(m_, d, float(s_), params) for d in qs)
+            return mats + (lone_plain(m_, float(s_), params),) if plain else mats
+
+        bundled = suites.run_cone(m=m, s=2.5, samples=4096, seed=3, q_only=q_only)
+        monkeypatch.setattr(suites, "i_q_numeric", i_q_lone)
+        monkeypatch.setattr(suites, "q_trace_integral_num", q_trace_lone)
+        assert suites.run_cone(m=m, s=2.5, samples=4096, seed=3, q_only=q_only) == bundled
