@@ -27,6 +27,10 @@ EXIT_UNSUPPORTED = 3
 
 SUITES = ("pm", "exterior", "sandwich", "maass", "cone", "sturm", "all")
 
+# parameters of single suites, with their defaults; the parser leaves them
+# None so that a flag given to ``verify all``, which ignores them, is seen
+SUITE_PARAMETERS = {"m": 2, "k": 1, "s": 2.5, "nu": None, "q": None}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -37,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", choices=SUITES)
-    verify.add_argument("--m", type=int, default=2, help="genus for the cone suite (default 2)")
-    verify.add_argument("--k", type=int, default=1, help="weight for the genus-2 coefficient cross-check")
-    verify.add_argument("--s", type=float, default=2.5, help="shift for the cone suite (default 2.5)")
+    verify.add_argument("--m", type=int, default=None, help="genus for the cone suite (default 2)")
+    verify.add_argument("--k", type=int, default=None, help="weight for the genus-2 coefficient cross-check (default 1)")
+    verify.add_argument("--s", type=float, default=None, help="shift for the cone suite (default 2.5)")
     verify.add_argument("--q", type=int, default=None, help="restrict the cone suite to one exterior degree")
     verify.add_argument("--samples", type=int, default=suites.DEFAULT_SAMPLES)
     verify.add_argument("--seed", type=int, default=0)
@@ -58,6 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_verify(args) -> str | None:
+    """The first problem with the flags, or None; fills in suite defaults."""
+    given = [f"--{name}" for name in SUITE_PARAMETERS if getattr(args, name) is not None]
+    if args.suite == "all" and given:
+        return f"verify all runs every suite at its own parameters and takes no {', '.join(given)}"
+    for name, default in SUITE_PARAMETERS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.m < 1:
         return f"--m must be >= 1 (got {args.m})"
     if args.k < 1:
@@ -74,6 +85,8 @@ def _validate_verify(args) -> str | None:
         return f"--seed must be >= 0 (got {args.seed})"
     if args.nu is not None and not (math.isfinite(args.nu) and args.nu > args.m - 1):
         return f"--nu must be finite and exceed m-1 = {args.m - 1} (got {args.nu})"
+    if args.suite == "cone" and args.nu is None and not args.s > -0.5:
+        return f"--s must exceed -1/2 so that the default nu = m + 2s exceeds m-1, or give --nu (got {args.s})"
     return None
 
 
@@ -83,19 +96,15 @@ def cmd_verify(args) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    samples = min(args.samples, suites.QUICK_SAMPLES) if args.quick else args.samples
-    max_genus = min(args.max_genus, suites.QUICK_GENUS) if args.quick else args.max_genus
-    instances = 50 if args.quick else 200
-    max_m = suites.QUICK_GENUS if args.quick else 5
-
+    sizes = suites.budget(args.samples, args.max_genus, args.quick)
     started = time.perf_counter()
     try:
         if args.suite == "pm":
-            checks = suites.run_pm(max_genus)
+            checks = suites.run_pm(sizes.max_genus)
         elif args.suite == "exterior":
-            checks = suites.run_exterior(args.seed, instances=instances, max_m=max_m)
+            checks = suites.run_exterior(args.seed, instances=sizes.instances, max_m=sizes.max_m)
         elif args.suite == "sandwich":
-            checks = suites.run_sandwich(args.seed, instances=instances, max_m=max_m)
+            checks = suites.run_sandwich(args.seed, instances=sizes.instances, max_m=sizes.max_m)
         elif args.suite == "maass":
             checks = suites.run_maass(args.seed, quick=args.quick) + suites.run_fd(
                 args.seed, quick=args.quick
@@ -104,17 +113,17 @@ def cmd_verify(args) -> int:
             checks = suites.run_cone(
                 m=args.m,
                 s=args.s,
-                samples=samples,
+                samples=sizes.samples,
                 seed=args.seed,
                 nu=args.nu,
                 q_only=args.q,
                 quick=args.quick,
             )
         elif args.suite == "sturm":
-            checks = suites.run_sturm(samples=samples, seed=args.seed, quick=args.quick, k2=args.k)
+            checks = suites.run_sturm(samples=sizes.samples, seed=args.seed, quick=args.quick, k2=args.k)
         else:
             checks = suites.run_all(
-                seed=args.seed, samples=samples, max_genus=max_genus, quick=args.quick
+                seed=args.seed, samples=args.samples, max_genus=args.max_genus, quick=args.quick
             )
     except PoleError as exc:
         print(f"error: parameters hit a pole: {exc}", file=sys.stderr)
@@ -184,6 +193,12 @@ def _phantom_payload(h: FourierExpansion, args) -> tuple[dict, int]:
 
 
 def cmd_phantom(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be >= 1 (got {args.samples})", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0 (got {args.seed})", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         h = FourierExpansion.load(args.file)
     except (OSError, ValueError, json.JSONDecodeError) as exc:

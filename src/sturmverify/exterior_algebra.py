@@ -119,36 +119,53 @@ def eps(a_prime, a_double_prime) -> int:
     return -1 if inversions % 2 else 1
 
 
+@lru_cache(maxsize=None)
+def _subset_index(m: int, q: int) -> np.ndarray:
+    """Zero-based q-subsets of {0..m-1} as a read-only (binom(m, q), q) array."""
+    index = np.array(q_subsets(m, q), dtype=np.intp).reshape(math.comb(m, q), q) - 1
+    index.flags.writeable = False
+    return index
+
+
+def _minors(mats, q: int) -> np.ndarray:
+    """All q x q minors of a matrix or a stack: (..., m, m) -> C-contiguous (..., C, C).
+
+    Each row subset is one fancy-index gather of its (C, q, q) submatrices
+    per matrix and one batched determinant.  A stack is gathered in blocks
+    of matrices whose submatrices hold at most as many entries as the
+    whole input, so the temporary never outgrows the input.  Both public
+    exterior-power functions call this directly, so a traced run times
+    each of them on its own.
+    """
+    mats = np.asarray(mats, dtype=complex if np.iscomplexobj(mats) else float)
+    if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
+        raise ValueError("matrix must be square")
+    m = mats.shape[-1]
+    if not 0 <= q <= m:
+        raise ValueError(f"exterior degree q={q} out of range 0..{m}")
+    index = _subset_index(m, q)
+    dim = index.shape[0]
+    flat = mats.reshape((-1, m, m))
+    out = np.empty((len(flat), dim, dim), dtype=mats.dtype)
+    block = max(1, len(flat) * m * m // max(1, dim * q * q))
+    cols = index[:, None, :]
+    for i, rows in enumerate(index):
+        for lo in range(0, len(flat), block):
+            out[lo : lo + block, i] = np.linalg.det(flat[lo : lo + block, rows[None, :, None], cols])
+    return out.reshape(mats.shape[:-2] + (dim, dim))
+
+
 def exterior_power(mat, q: int) -> ExteriorMatrix:
     """q-th exterior power (matrix of all q x q minors) of a square matrix."""
     mat = np.asarray(mat)
-    m = mat.shape[0]
-    if mat.shape != (m, m):
+    if mat.ndim != 2:
         raise ValueError("matrix must be square")
-    if not 0 <= q <= m:
-        raise ValueError(f"exterior degree q={q} out of range 0..{m}")
-    subs = q_subsets(m, q)
-    rows = [np.asarray(a, dtype=int) - 1 for a in subs]
-    dtype = complex if np.iscomplexobj(mat) else float
-    out = np.empty((len(subs), len(subs)), dtype=dtype)
-    for i, ra in enumerate(rows):
-        for j, cb in enumerate(rows):
-            out[i, j] = np.linalg.det(mat[np.ix_(ra, cb)])
-    return ExteriorMatrix(m, q, out)
+    return ExteriorMatrix(mat.shape[0], q, _minors(mat, q))
 
 
 def exterior_power_batch(mats, q: int) -> np.ndarray:
     """Exterior powers of a batch of matrices: (n, m, m) -> (n, C, C)."""
-    mats = np.asarray(mats, dtype=float)
-    m = mats.shape[-1]
-    subs = q_subsets(m, q)
-    out = np.empty((mats.shape[0], len(subs), len(subs)))
-    for i, a in enumerate(subs):
-        ra = [x - 1 for x in a]
-        for j, b in enumerate(subs):
-            cb = [x - 1 for x in b]
-            out[:, i, j] = np.linalg.det(mats[:, ra][:, :, cb])
-    return out
+    return _minors(mats, q)
 
 
 def sqcap(a_op: ExteriorMatrix, b_op: ExteriorMatrix) -> ExteriorMatrix:

@@ -9,11 +9,16 @@ are built by nesting one-coordinate central differences of the symmetric
 realized numerically by perturbing the (mu, nu) and (nu, mu) entries
 together (one symmetric coordinate) and applying the half factor
 analytically, so e.g. the derivative of tr(TY) is exactly T.
+
+The function under differentiation takes a batch: it maps a stack
+(N, m, m) of matrices to their N values.  Each oracle stacks every point
+of its nested stencils and calls it once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,39 +75,82 @@ def _pair_delta(n: int, mu: int, nu: int, dtype=float) -> np.ndarray:
     return delta
 
 
-def _coord_diff(g, base, delta, h, order):
-    """Raw central difference of g along the matrix direction ``delta``."""
-    acc = None
-    for off, coeff in _STENCILS[order]:
-        term = coeff * g(base + (off * h) * delta)
-        acc = term if acc is None else acc + term
-    return acc / h
+def _single(diffs):
+    return diffs[0]
 
 
-def _extrapolate(scheme: FDScheme, h: float, evaluate):
+def _stencil_trees(f, base, trees, order: int) -> list:
+    """Nested central differences of f at ``base``, one value per tree.
+
+    Each tree is ``(h, levels)`` with ``levels`` listed outermost first; a
+    level is ``(directions, combine)``.  A level steps every point of the
+    level above by ``(off * h) * direction`` for each direction and
+    stencil offset, and is reduced by turning each direction's stencil
+    values into ``sum(coeff * value) / h`` and merging those differences
+    with ``combine``.  The points of all trees form one (N, m, m) stack
+    and f is called once on it.  Points are formed and leaves reduced
+    (innermost level first) with the same operations in the same order as
+    a recursion over the levels, so every value is that recursion's value
+    bit for bit.
+    """
+    stencil = _STENCILS[order]
+    shapes = [[len(directions) * len(stencil) for directions, _ in levels] for _, levels in trees]
+    bounds = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    stack = np.empty((bounds[-1],) + base.shape, dtype=base.dtype)
+    for (h, levels), span in zip(trees, spans):
+        points = base[None]
+        for directions, _ in levels:
+            steps = np.stack([(off * h) * d for d in directions for off, _ in stencil])
+            points = (points[:, None] + steps[None]).reshape((-1,) + base.shape)
+        stack[span] = points
+    values = np.asarray(f(stack))
+    if values.shape != stack.shape[:1]:
+        raise ValueError(
+            f"f must return one value per matrix of the batch: got shape {values.shape} for {len(stack)} matrices"
+        )
+
+    out = []
+    for (h, levels), span, shape in zip(trees, spans, shapes):
+        tree = values[span].reshape(shape)
+        for directions, combine in reversed(levels):
+            tree = tree.reshape(tree.shape[:-1] + (len(directions), len(stencil)))
+            diffs = []
+            for i in range(len(directions)):
+                acc = None
+                for k, (_, coeff) in enumerate(stencil):
+                    term = coeff * tree[..., i, k]
+                    acc = term if acc is None else acc + term
+                diffs.append(acc / h)
+            tree = combine(diffs)
+        out.append(tree[()])
+    return out
+
+
+def _step_sizes(scheme: FDScheme, h: float) -> tuple:
+    return (h, 0.5 * h) if scheme.richardson else (h,)
+
+
+def _extrapolate(scheme: FDScheme, values):
+    """Combine the values taken at the step sizes of ``_step_sizes``."""
     if not scheme.richardson:
-        return evaluate(h)
-    big = evaluate(h)
-    small = evaluate(0.5 * h)
+        return values[0]
+    big, small = values
     lead, den = _RICHARDSON[scheme.order]
     return (lead * small - big) / den
 
 
 def sym_partial(f, y, mu: int, nu: int, scheme: FDScheme = FDScheme()):
-    """Entry (mu, nu) of the symmetric-matrix derivative of scalar f at y."""
+    """Entry (mu, nu) of the symmetric-matrix derivative of f at y.
+
+    ``f`` maps a stack (N, m, m) of matrices to their N scalar values.
+    """
     y = np.asarray(y, dtype=float)
     delta = _pair_delta(y.shape[0], mu, nu)
     factor = 1.0 if mu == nu else 0.5
-    h = scheme.step_for(y)
-    return factor * _extrapolate(scheme, h, lambda hh: _coord_diff(f, y, delta, hh, scheme.order))
-
-
-def _nested_diff(f, base, deltas, h, order):
-    if not deltas:
-        return f(base)
-    first = deltas[0]
-    rest = deltas[1:]
-    return _coord_diff(lambda yy: _nested_diff(f, yy, rest, h, order), base, first, h, order)
+    level = ((delta,), _single)
+    steps = _step_sizes(scheme, scheme.step_for(y))
+    return factor * _extrapolate(scheme, _stencil_trees(f, y, [(hh, [level]) for hh in steps], scheme.order))
 
 
 def exterior_derivative_num(f, y, q: int, scheme: FDScheme = FDScheme()) -> ExteriorMatrix:
@@ -112,6 +160,7 @@ def exterior_derivative_num(f, y, q: int, scheme: FDScheme = FDScheme()) -> Exte
 
         sum_{sigma} sgn(sigma) prod_i (d)_{a_i, b_sigma(i)} f .
 
+    ``f`` maps a stack (N, m, m) of matrices to their N scalar values.
     Mixed partials above order 3 are refused (cost and roundoff).
     """
     y = np.asarray(y, dtype=float)
@@ -121,42 +170,47 @@ def exterior_derivative_num(f, y, q: int, scheme: FDScheme = FDScheme()) -> Exte
     if not 0 <= q <= m:
         raise ValueError(f"q={q} out of range 0..{m}")
     subs = q_subsets(m, q)
-    h = scheme.step_for(y)
+    perms = list(itertools.permutations(range(q)))
 
-    def entry(a, b, hh):
-        total = 0.0
-        for perm in itertools.permutations(range(q)):
-            deltas = []
-            factor = 1.0
-            for i in range(q):
-                row, col = a[i] - 1, b[perm[i]] - 1
-                deltas.append(_pair_delta(m, row, col))
-                factor *= 1.0 if row == col else 0.5
-            total += _perm_sign(perm) * factor * _nested_diff(f, y, deltas, hh, scheme.order)
-        return total
+    # per entry (a, b), one (sign * factor, levels) term per permutation
+    entries = []
+    for a in subs:
+        for b in subs:
+            terms = []
+            for perm in perms:
+                pairs = [(a[i] - 1, b[perm[i]] - 1) for i in range(q)]
+                factor = 1.0
+                for row, col in pairs:
+                    factor *= 1.0 if row == col else 0.5
+                levels = [((_pair_delta(m, row, col),), _single) for row, col in pairs]
+                terms.append((_perm_sign(perm) * factor, levels))
+            entries.append(terms)
 
-    def matrix_at(hh):
-        out = np.empty((len(subs), len(subs)))
-        for i, a in enumerate(subs):
-            for j, b in enumerate(subs):
-                out[i, j] = entry(a, b, hh)
-        return out
+    steps = _step_sizes(scheme, scheme.step_for(y))
+    trees = [(hh, levels) for hh in steps for terms in entries for _, levels in terms]
+    values = iter(_stencil_trees(f, y, trees, scheme.order))
+    matrices = []
+    for _ in steps:
+        out = np.empty(len(entries))
+        for n, terms in enumerate(entries):
+            total = 0.0
+            for scale, _ in terms:
+                total += scale * next(values)
+            out[n] = total
+        matrices.append(out.reshape(len(subs), len(subs)))
 
-    if not scheme.richardson:
-        return ExteriorMatrix(m, q, matrix_at(h))
-    big = matrix_at(h)
-    small = matrix_at(0.5 * h)
-    lead, den = _RICHARDSON[scheme.order]
-    spread = np.abs(small - big)
-    ref = np.maximum(np.abs(small), np.abs(big))
-    if np.any(spread > 0.5 * ref + 1e-9):
-        warnings.warn(
-            "step halving moved some derivative entries by more than 50%; "
-            "the difference scheme may be unstable at this point",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return ExteriorMatrix(m, q, (lead * small - big) / den)
+    if scheme.richardson:
+        big, small = matrices
+        spread = np.abs(small - big)
+        ref = np.maximum(np.abs(small), np.abs(big))
+        if np.any(spread > 0.5 * ref + 1e-9):
+            warnings.warn(
+                "step halving moved some derivative entries by more than 50%; "
+                "the difference scheme may be unstable at this point",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return ExteriorMatrix(m, q, _extrapolate(scheme, matrices))
 
 
 def det_dz_numeric(f, z, scheme: FDScheme = FDScheme()) -> complex:
@@ -165,33 +219,27 @@ def det_dz_numeric(f, z, scheme: FDScheme = FDScheme()) -> complex:
         det(d/dZ) f,   (d/dZ)_{mu nu} = 1/2 (1 + delta_{mu nu}) 1/2 (d/dx - i d/dy)
 
     expanded over permutations with nested central differences in the real
-    and imaginary parts.  Supports m <= 3.
+    and imaginary parts.  ``f`` maps a stack (N, m, m) of complex matrices
+    to their N values.  Supports m <= 3.
     """
     z = np.asarray(z, dtype=complex)
     m = z.shape[0]
     if m > 3:
         raise UnsupportedRegimeError("determinant expansion above dimension 3 is not supported")
-    h = scheme.step_for(z)
 
-    def dz_nested(zz, pairs, hh):
-        if not pairs:
-            return f(zz)
-        (mu, nu), rest = pairs[0], pairs[1:]
+    def level(mu, nu):
         delta = _pair_delta(m, mu, nu, dtype=complex)
-
-        def g(w):
-            return dz_nested(w, rest, hh)
-
-        dx = _coord_diff(g, zz, delta, hh, scheme.order)
-        dy = _coord_diff(g, zz, 1j * delta, hh, scheme.order)
         factor = 1.0 if mu == nu else 0.5
-        return factor * 0.5 * (dx - 1j * dy)
+        return (delta, 1j * delta), lambda d: factor * 0.5 * (d[0] - 1j * d[1])
 
-    def full(hh):
+    perms = list(itertools.permutations(range(m)))
+    steps = _step_sizes(scheme, scheme.step_for(z))
+    trees = [(hh, [level(i, perm[i]) for i in range(m)]) for hh in steps for perm in perms]
+    values = iter(_stencil_trees(f, z, trees, scheme.order))
+    totals = []
+    for _ in steps:
         total = 0.0 + 0.0j
-        for perm in itertools.permutations(range(m)):
-            pairs = [(i, perm[i]) for i in range(m)]
-            total += _perm_sign(perm) * dz_nested(z, pairs, hh)
-        return total
-
-    return _extrapolate(scheme, h, full)
+        for perm in perms:
+            total += _perm_sign(perm) * next(values)
+        totals.append(total)
+    return _extrapolate(scheme, totals)

@@ -223,14 +223,15 @@ def p_m_poly(m: int) -> BivariatePolynomial:
         raise ValueError(f"m={m} must be >= 1")
     z = BivariatePolynomial.variable_z()
     zs = z + BivariatePolynomial.variable_s()
+    # prefix products: low[k] = prod_{j<k}(z + j/2), high[k] = prod_{j<k}(z + s - j/2)
+    low = [BivariatePolynomial.constant(1)]
+    high = [BivariatePolynomial.constant(1)]
+    for j in range(m):
+        low.append(low[-1] * (z + Fraction(j, 2)))
+        high.append(high[-1] * (zs - Fraction(j, 2)))
     total = BivariatePolynomial()
     for q in range(m + 1):
-        term = BivariatePolynomial.constant(Fraction((-1) ** q * math.comb(m, q)))
-        for j in range(m - q):
-            term = term * (z + BivariatePolynomial.constant(Fraction(j, 2)))
-        for j in range(q):
-            term = term * (zs - BivariatePolynomial.constant(Fraction(j, 2)))
-        total = total + term
+        total = total + Fraction((-1) ** q * math.comb(m, q)) * (low[m - q] * high[q])
     return total
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,23 @@ QUICK_SAMPLES = 100_000
 QUICK_GENUS = 3
 
 
+class Budget(NamedTuple):
+    """Run sizes of the suites: Monte Carlo samples, genus of the polynomial
+    suite, random instances and largest genus of the exterior suites."""
+
+    samples: int
+    max_genus: int
+    instances: int
+    max_m: int
+
+
+def budget(samples: int, max_genus: int, quick: bool) -> Budget:
+    """The requested sizes, with quick mode's caps applied."""
+    if quick:
+        return Budget(min(samples, QUICK_SAMPLES), min(max_genus, QUICK_GENUS), 50, QUICK_GENUS)
+    return Budget(samples, max_genus, 200, 5)
+
+
 def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(997, tag)))
 
@@ -60,6 +78,16 @@ def random_half_integral_form(rng: np.random.Generator, m: int) -> HalfIntegralF
     diag += diag % 2
     np.fill_diagonal(two_t, diag)
     return HalfIntegralForm(tuple(map(tuple, two_t.tolist())))
+
+
+def _each(fn, values) -> np.ndarray:
+    """fn applied element by element with its scalar routine.
+
+    The batched test functions of the finite-difference oracles raise to
+    powers and exponentiate reals this way: numpy's vectorised ``**`` and
+    ``np.exp`` may differ from the scalar routines in the last ulp.
+    """
+    return np.array([fn(v) for v in values])
 
 
 def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -263,7 +291,8 @@ def run_maass(seed: int = 0, quick: bool = False) -> list:
             z = x + 1j * y
 
             def func(zz, jj=j, tt=t):
-                return np.linalg.det(zz.imag) ** jj * np.exp(2j * math.pi * np.trace(tt @ zz))
+                power = _each(lambda d: d ** jj, np.linalg.det(zz.imag))
+                return power * np.exp(2j * math.pi * np.trace(tt @ zz, axis1=1, axis2=2))
 
             closed = det_dz_closed(m, j, t, z)
             numeric = det_dz_numeric(func, z, scheme)
@@ -340,7 +369,8 @@ def run_maass(seed: int = 0, quick: bool = False) -> list:
         z = np.array([[0.3, 0.1], [0.1, -0.2]]) + 1j * np.array([[1.1, 0.2], [0.2, 0.9]])
 
         def func(zz, jj=j, tt=t_degenerate):
-            return np.linalg.det(zz.imag) ** jj * np.exp(2j * math.pi * np.trace(tt @ zz))
+            power = _each(lambda d: d ** jj, np.linalg.det(zz.imag))
+            return power * np.exp(2j * math.pi * np.trace(tt @ zz, axis1=1, axis2=2))
 
         closed = det_dz_closed(2, j, t_degenerate, z)
         numeric = det_dz_numeric(func, z, scheme)
@@ -371,17 +401,23 @@ def run_fd(seed: int = 0, quick: bool = False) -> list:
         y = random_spd(rng, m, scale=0.8) + 0.4 * np.eye(m)
         alpha = float(rng.uniform(0.8, 2.6))
 
+        def exp_trace(yy):
+            return _each(math.exp, np.trace(t @ yy, axis1=1, axis2=2))
+
+        def det_power(yy):
+            return _each(lambda d: d ** alpha, np.linalg.det(yy))
+
         worst_exp = 0.0
         worst_det = 0.0
         worst_prod = 0.0
         for q in range(1, min(m, 3) + 1):
             # derivative of exp(tr TY) is T^[q] exp(tr TY)
-            num = exterior_derivative_num(lambda yy: math.exp(np.trace(t @ yy)), y, q, scheme).entries
+            num = exterior_derivative_num(exp_trace, y, q, scheme).entries
             closed = exterior_power(t, q).entries * math.exp(np.trace(t @ y))
             worst_exp = max(worst_exp, _rel_gap(num, closed))
 
             # derivative of det(Y)^alpha is C_q(alpha) det(Y)^alpha Y^{-[q]}
-            num = exterior_derivative_num(lambda yy: np.linalg.det(yy) ** alpha, y, q, scheme).entries
+            num = exterior_derivative_num(det_power, y, q, scheme).entries
             closed = (
                 float(c_poch(q, alpha))
                 * np.linalg.det(y) ** alpha
@@ -392,8 +428,7 @@ def run_fd(seed: int = 0, quick: bool = False) -> list:
         # product rule: d^[h](f g) = sum_{p+q=h} binom(h,p) (d^[p] f) sqcap (d^[q] g)
         # (the binomial compensates the normalization baked into sqcap)
         h_deg = 2
-        fg = lambda yy: np.linalg.det(yy) ** alpha * math.exp(np.trace(t @ yy))
-        num = exterior_derivative_num(fg, y, h_deg, scheme).entries
+        num = exterior_derivative_num(lambda yy: det_power(yy) * exp_trace(yy), y, h_deg, scheme).entries
         dety_a = np.linalg.det(y) ** alpha
         exp_t = math.exp(np.trace(t @ y))
         closed = np.zeros_like(num)
@@ -790,17 +825,13 @@ def run_all(
     max_genus: int = 12,
     quick: bool = False,
 ) -> list:
-    if quick:
-        samples = min(samples, QUICK_SAMPLES)
-        max_genus = min(max_genus, QUICK_GENUS)
-    instances = 50 if quick else 200
-    max_m = QUICK_GENUS if quick else 5
+    sizes = budget(samples, max_genus, quick)
     records = []
-    records += run_pm(max_genus)
-    records += run_exterior(seed, instances=instances, max_m=max_m)
-    records += run_sandwich(seed, instances=instances, max_m=max_m)
+    records += run_pm(sizes.max_genus)
+    records += run_exterior(seed, instances=sizes.instances, max_m=sizes.max_m)
+    records += run_sandwich(seed, instances=sizes.instances, max_m=sizes.max_m)
     records += run_maass(seed, quick=quick)
     records += run_fd(seed, quick=quick)
-    records += run_cone(samples=samples, seed=seed, quick=quick)
-    records += run_sturm(samples=samples, seed=seed, quick=quick)
+    records += run_cone(samples=sizes.samples, seed=seed, quick=quick)
+    records += run_sturm(samples=sizes.samples, seed=seed, quick=quick)
     return records

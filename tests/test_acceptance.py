@@ -112,7 +112,8 @@ def test_criterion_04_derivative_closed_form_vs_finite_differences(announce):
 
             def f(zz, _j=j, _t=t):
                 y = np.asarray(zz).imag
-                return np.linalg.det(y) ** _j * np.exp(2j * math.pi * np.trace(_t @ zz))
+                power = np.array([d ** _j for d in np.linalg.det(y)])
+                return power * np.exp(2j * math.pi * np.trace(_t @ zz, axis1=1, axis2=2))
 
             got = det_dz_numeric(f, z, scheme)
             want = det_dz_closed(m, j, t, z)

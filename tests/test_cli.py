@@ -76,6 +76,16 @@ class TestVerify:
             assert main(["verify", suite, "--seed", "-1", "--quick"]) == 2
             assert "--seed must be >= 0" in capsys.readouterr().err
 
+    def test_shift_below_default_nu_exits_2(self, capsys):
+        # without --nu the proposal takes nu = m + 2s, which must exceed m - 1
+        assert main(["verify", "cone", "--s", "-0.7", "--samples", "1000"]) == 2
+        assert "--s must exceed -1/2" in capsys.readouterr().err
+
+    def test_all_rejects_single_suite_flags(self, capsys):
+        for flag, value in (("--m", "3"), ("--s", "2.5"), ("--k", "1"), ("--nu", "6"), ("--q", "0")):
+            assert main(["verify", "all", "--quick", flag, value]) == 2
+            assert f"takes no {flag}" in capsys.readouterr().err
+
     def test_pole_parameters_exit_2(self):
         # weight 0 at genus 2 drives the closed form onto a gamma pole
         assert main(["verify", "sturm", "--k", "0", "--quick", "--samples", "1000"]) == 2
@@ -162,3 +172,17 @@ class TestPhantom:
         src = write_expansion(tmp_path / "in.json", 2, 1, terms)
         assert main(["phantom", src]) == 2
         assert "more than once" in capsys.readouterr().err
+
+    def test_crosscheck_negative_seed_exits_2(self, tmp_path, capsys):
+        src = write_expansion(tmp_path / "in.json", 2, 1, [{"twoT": [[2, 0], [0, 2]], "b": 1.0}])
+        assert main(["phantom", src, "--crosscheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0" in captured.err
+        assert captured.out == ""
+
+    def test_crosscheck_zero_samples_exits_2(self, tmp_path, capsys):
+        src = write_expansion(tmp_path / "in.json", 2, 1, [{"twoT": [[2, 0], [0, 2]], "b": 1.0}])
+        assert main(["phantom", src, "--crosscheck", "--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--samples must be >= 1" in captured.err
+        assert captured.out == ""

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,45 @@ def test_exterior_power_batch_matches_loop(rng):
             np.testing.assert_allclose(
                 batch[i], exterior_power(mats[i], q).entries, rtol=1e-12, atol=1e-12
             )
+
+
+def _minors_by_entry(mats, q):
+    """Reference minors: one np.linalg.det call per (row subset, column subset)."""
+    subs = [list(a) for a in itertools.combinations(range(mats.shape[-1]), q)]
+    out = np.empty(mats.shape[:-2] + (len(subs), len(subs)), dtype=mats.dtype)
+    for i, rows in enumerate(subs):
+        for j, cols in enumerate(subs):
+            out[..., i, j] = np.linalg.det(mats[..., rows, :][..., cols])
+    return out
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_minors_bitwise_equal_per_entry_determinants(rng, m, complex_entries):
+    for q in range(m + 1):
+        mats = rng.uniform(-1.5, 1.5, (6, m, m))
+        if complex_entries:
+            mats = mats + 1j * rng.uniform(-1.5, 1.5, (6, m, m))
+        batch = exterior_power_batch(mats, q)
+        assert batch.flags.c_contiguous
+        assert batch.dtype == mats.dtype
+        assert (batch == _minors_by_entry(mats, q)).all()
+        for mat in mats:
+            assert (exterior_power(mat, q).entries == _minors_by_entry(mat, q)).all()
+
+
+def test_batch_gather_temporary_stays_within_input_size(rng):
+    # beyond the output, the gathered submatrices and their determinants
+    # may take about as much memory as the input stack itself
+    mats = rng.uniform(-1.5, 1.5, (4096, 5, 5))
+    for q in range(6):
+        tracemalloc.start()
+        try:
+            out = exterior_power_batch(mats, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.5 * mats.nbytes
 
 
 def test_sqcap_hand_formula_genus_two(rng):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -33,8 +34,8 @@ class TestSymPartial:
         t = (t + t.T) / 2
         y = spd(rng, 3)
 
-        def f(mat):
-            return float(np.sum(t * mat))
+        def f(mats):
+            return np.sum(t * mats, axis=(1, 2))
 
         for mu in range(3):
             for nu in range(3):
@@ -46,8 +47,8 @@ class TestSymPartial:
         y = spd(rng, 2)
         inv = np.linalg.inv(y)
 
-        def f(mat):
-            return float(np.log(np.linalg.det(mat)))
+        def f(mats):
+            return np.log(np.linalg.det(mats))
 
         scheme = FDScheme(order=4)
         for mu in range(2):
@@ -58,27 +59,27 @@ class TestSymPartial:
 class TestExteriorDerivative:
     def test_det_gradient_is_adjugate(self, rng):
         y = spd(rng, 3)
-        out = exterior_derivative_num(lambda m: float(np.linalg.det(m)), y, 1)
+        out = exterior_derivative_num(np.linalg.det, y, 1)
         want = np.linalg.det(y) * np.linalg.inv(y)
         np.testing.assert_allclose(out.entries, want, rtol=1e-6, atol=1e-8)
 
     def test_degree_zero_is_plain_value(self, rng):
         y = spd(rng, 2)
-        out = exterior_derivative_num(lambda m: float(np.trace(m)), y, 0)
+        out = exterior_derivative_num(lambda m: np.trace(m, axis1=1, axis2=2), y, 0)
         assert out.entries[0, 0] == pytest.approx(np.trace(y))
 
     def test_refuses_deep_mixed_partials(self):
         y = np.eye(4)
         with pytest.raises(UnsupportedRegimeError):
-            exterior_derivative_num(lambda m: float(np.linalg.det(m)), y, 4)
+            exterior_derivative_num(np.linalg.det, y, 4)
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
-            exterior_derivative_num(lambda m: 1.0, np.eye(2), 3)
+            exterior_derivative_num(lambda m: np.ones(len(m)), np.eye(2), 3)
 
     def test_unstable_step_warns(self):
         def jump(y):
-            return 1.0 if y[0, 0] > 1.07 else 0.0
+            return np.where(y[:, 0, 0] > 1.07, 1.0, 0.0)
 
         with pytest.warns(RuntimeWarning, match="unstable"):
             exterior_derivative_num(jump, np.array([[1.0]]), 1, FDScheme(h=0.1, order=2))
@@ -90,7 +91,7 @@ class TestDetDzNumeric:
         z = 0.3 + 1.1j
 
         def f(zz):
-            return np.exp(TWO_PI_I * t * zz[0, 0])
+            return np.exp(TWO_PI_I * t * zz[:, 0, 0])
 
         want = TWO_PI_I * t * np.exp(TWO_PI_I * t * z)
         got = det_dz_numeric(f, np.array([[z]]), FDScheme(h=1e-2, order=4))
@@ -103,7 +104,7 @@ class TestDetDzNumeric:
         z = (x + x.T) / 2 + 1j * spd(rng, 2)
 
         def f(zz):
-            return np.exp(TWO_PI_I * np.trace(t @ zz))
+            return np.exp(TWO_PI_I * np.trace(t @ zz, axis1=1, axis2=2))
 
         want = (TWO_PI_I) ** 2 * np.linalg.det(t) * np.exp(TWO_PI_I * np.trace(t @ z))
         got = det_dz_numeric(f, z, FDScheme(h=1e-2, order=4))
@@ -114,7 +115,7 @@ class TestDetDzNumeric:
         z = np.array([[0.3 + 1.1j]])
 
         def f(zz):
-            return np.exp(TWO_PI_I * t * zz[0, 0])
+            return np.exp(TWO_PI_I * t * zz[:, 0, 0])
 
         want = TWO_PI_I * t * np.exp(TWO_PI_I * t * z[0, 0])
         plain = det_dz_numeric(f, z, FDScheme(h=1e-2, order=2, richardson=False))
@@ -124,7 +125,7 @@ class TestDetDzNumeric:
 
     def test_refuses_large_genus(self):
         with pytest.raises(UnsupportedRegimeError):
-            det_dz_numeric(lambda zz: 1.0, 1j * np.eye(4))
+            det_dz_numeric(lambda zz: np.ones(len(zz)), 1j * np.eye(4))
 
 
 def test_perm_sign():
@@ -132,3 +133,150 @@ def test_perm_sign():
     assert _perm_sign((1, 0, 2)) == -1
     assert _perm_sign((1, 2, 0)) == 1
     assert _perm_sign((2, 1, 0)) == -1
+
+
+# ---------------------------------------------------------------------------
+# the batched stencil trees equal a scalar nested recursion bit for bit
+
+_STENCILS = {
+    2: ((1, 0.5), (-1, -0.5)),
+    4: ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0)),
+}
+_RICHARDSON = {2: (4.0, 3.0), 4: (16.0, 15.0)}
+
+
+def _ref_delta(n, mu, nu, dtype=float):
+    delta = np.zeros((n, n), dtype=dtype)
+    delta[mu, nu] = 1.0
+    delta[nu, mu] = 1.0
+    return delta
+
+
+def _ref_coord_diff(g, base, delta, h, order):
+    acc = None
+    for off, coeff in _STENCILS[order]:
+        term = coeff * g(base + (off * h) * delta)
+        acc = term if acc is None else acc + term
+    return acc / h
+
+
+def _ref_extrapolate(scheme, h, evaluate):
+    if not scheme.richardson:
+        return evaluate(h)
+    big = evaluate(h)
+    small = evaluate(0.5 * h)
+    lead, den = _RICHARDSON[scheme.order]
+    return (lead * small - big) / den
+
+
+def _ref_nested_diff(f, base, deltas, h, order):
+    if not deltas:
+        return f(base)
+    rest = deltas[1:]
+    return _ref_coord_diff(lambda yy: _ref_nested_diff(f, yy, rest, h, order), base, deltas[0], h, order)
+
+
+def _ref_sym_partial(f, y, mu, nu, scheme):
+    delta = _ref_delta(y.shape[0], mu, nu)
+    factor = 1.0 if mu == nu else 0.5
+    h = scheme.step_for(y)
+    return factor * _ref_extrapolate(scheme, h, lambda hh: _ref_coord_diff(f, y, delta, hh, scheme.order))
+
+
+def _ref_exterior_derivative(f, y, q, scheme):
+    m = y.shape[0]
+    subs = list(itertools.combinations(range(1, m + 1), q))
+
+    def matrix_at(hh):
+        out = np.empty((len(subs), len(subs)))
+        for i, a in enumerate(subs):
+            for j, b in enumerate(subs):
+                total = 0.0
+                for perm in itertools.permutations(range(q)):
+                    deltas = []
+                    factor = 1.0
+                    for k in range(q):
+                        row, col = a[k] - 1, b[perm[k]] - 1
+                        deltas.append(_ref_delta(m, row, col))
+                        factor *= 1.0 if row == col else 0.5
+                    total += _perm_sign(perm) * factor * _ref_nested_diff(f, y, deltas, hh, scheme.order)
+                out[i, j] = total
+        return out
+
+    return _ref_extrapolate(scheme, scheme.step_for(y), matrix_at)
+
+
+def _ref_det_dz(f, z, scheme):
+    m = z.shape[0]
+
+    def dz_nested(zz, pairs, hh):
+        if not pairs:
+            return f(zz)
+        (mu, nu), rest = pairs[0], pairs[1:]
+        delta = _ref_delta(m, mu, nu, dtype=complex)
+
+        def g(w):
+            return dz_nested(w, rest, hh)
+
+        dx = _ref_coord_diff(g, zz, delta, hh, scheme.order)
+        dy = _ref_coord_diff(g, zz, 1j * delta, hh, scheme.order)
+        factor = 1.0 if mu == nu else 0.5
+        return factor * 0.5 * (dx - 1j * dy)
+
+    def full(hh):
+        total = 0.0 + 0.0j
+        for perm in itertools.permutations(range(m)):
+            total += _perm_sign(perm) * dz_nested(z, [(i, perm[i]) for i in range(m)], hh)
+        return total
+
+    return _ref_extrapolate(scheme, scheme.step_for(z), full)
+
+
+def _batched(scalar_f):
+    return lambda stack: np.array([scalar_f(mat) for mat in stack])
+
+
+_SCHEMES = [FDScheme(order=order, richardson=rich) for order in (2, 4) for rich in (False, True)]
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES, ids=lambda s: f"order{s.order}-rich{s.richardson}")
+@pytest.mark.parametrize("m", [1, 2, 3])
+class TestBitwiseAgainstRecursion:
+    def test_sym_partial(self, rng, m, scheme):
+        y = spd(rng, m)
+        t = spd(rng, m, scale=0.3)
+
+        def f(mat):
+            return np.linalg.det(mat) ** 1.7 * math.exp(np.trace(t @ mat))
+
+        for mu in range(m):
+            for nu in range(m):
+                assert sym_partial(_batched(f), y, mu, nu, scheme) == _ref_sym_partial(f, y, mu, nu, scheme)
+
+    def test_exterior_derivative(self, rng, m, scheme):
+        y = spd(rng, m)
+        t = spd(rng, m, scale=0.3)
+
+        def f(mat):
+            return np.linalg.det(mat) ** 1.3 * math.exp(np.trace(t @ mat))
+
+        for q in range(m + 1):
+            got = exterior_derivative_num(_batched(f), y, q, scheme).entries
+            want = _ref_exterior_derivative(f, y, q, scheme)
+            assert got.shape == want.shape
+            assert (got == want).all()
+
+    def test_det_dz(self, rng, m, scheme):
+        t = spd(rng, m, scale=0.4)
+        x = rng.uniform(-0.8, 0.8, (m, m))
+        z = (x + x.T) / 2 + 1j * (spd(rng, m, scale=0.6) + 0.5 * np.eye(m))
+
+        def f(mat):
+            return np.linalg.det(mat.imag) ** 2.2 * np.exp(TWO_PI_I * np.trace(t @ mat))
+
+        assert det_dz_numeric(_batched(f), z, scheme) == _ref_det_dz(f, z, scheme)
+
+
+def test_scalar_valued_f_is_rejected():
+    with pytest.raises(ValueError, match="one value per matrix"):
+        sym_partial(lambda stack: float(np.sum(stack)), np.eye(2), 0, 1)
