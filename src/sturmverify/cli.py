@@ -1,8 +1,10 @@
 """Command-line front end: verification suites and image computations.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
-flags or malformed input, 3 parameter regime outside what the closed
-forms support.
+flags, malformed input, an unwritable --out path or a bad STURM_THREADS,
+3 parameter regime outside what the closed forms support (a pole-free
+closed form that overflows the double range included), 4 internal error:
+an unexpected exception, reported with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -10,12 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+import traceback
 
 from . import suites
 from .errors import PoleError, UnsupportedRegimeError
-from .cone_integration import MonteCarloParams
+from .cone_integration import MonteCarloParams, worker_count
 from .maass_operator import FourierExpansion, maass_coeff_factor
 from .report import CheckRecord, VerificationReport
 from .sturm_operator import a_closed, phantom_series, sturm_limit, sturm_numeric
@@ -24,6 +28,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 SUITES = ("pm", "exterior", "sandwich", "maass", "cone", "sturm", "all")
 
@@ -90,8 +95,27 @@ def _validate_verify(args) -> str | None:
     return None
 
 
+def _run_problem(out) -> str | None:
+    """What rules the run out before any work: STURM_THREADS, or an --out
+    path that cannot be written.  None when there is nothing."""
+    try:
+        worker_count()
+    except ValueError as exc:
+        return str(exc)
+    if not out:
+        return None
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        return f"--out {out} is a directory"
+    if not os.path.isdir(folder):
+        return f"--out {out}: no such directory {folder}"
+    if not os.access(folder, os.W_OK) or (os.path.exists(out) and not os.access(out, os.W_OK)):
+        return f"--out {out} is not writable"
+    return None
+
+
 def cmd_verify(args) -> int:
-    problem = _validate_verify(args)
+    problem = _validate_verify(args) or _run_problem(args.out)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -130,6 +154,9 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_INPUT
     except UnsupportedRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except OverflowError as exc:
+        print(f"error: a closed form overflows the double range at these parameters: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
     report = VerificationReport(
@@ -193,6 +220,10 @@ def _phantom_payload(h: FourierExpansion, args) -> tuple[dict, int]:
 
 
 def cmd_phantom(args) -> int:
+    problem = _run_problem(args.out)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.samples < 1:
         print(f"error: --samples must be >= 1 (got {args.samples})", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -229,9 +260,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_phantom(args)
+    try:
+        if args.command == "verify":
+            return cmd_verify(args)
+        return cmd_phantom(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

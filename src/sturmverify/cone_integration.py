@@ -10,12 +10,17 @@ A_ii^2 ~ chi^2(nu - i) (0-based i) and standard normal subdiagonal.  The
 importance weight is the invariant-measure density divided by the Wishart
 density, with det powers and tr(V^{-1} Y) read off the Cholesky factors
 (log det Y = log det V + 2 sum log A_ii, tr(V^{-1} Y) = sum A_ij^2).
+L A and Y are formed from (n,) column products over the triangles, in a
+fixed summation order (see ``_bartlett_products``).  That order is the
+one numpy's generic einsum used when earlier reports were computed, so
+those reports keep every bit.
 
 Reproducibility: samples are drawn in fixed-size chunks, chunk c from the
 substream SeedSequence(seed, spawn_key=(c,)), and per-chunk partial sums
 are combined pairwise in chunk order.  The estimate therefore depends on
 (seed, params, integrand) only; never on the worker count, which the
-environment variable STURM_THREADS merely caps for speed.
+environment variable STURM_THREADS (an integer >= 1) merely caps for
+speed.
 
 Diagnostics: samples with non-finite weight or integrand are rejected and
 counted; the estimate is flagged ``diverged`` unless the standard error
@@ -75,12 +80,82 @@ class IntegralEstimate:
     diverged: bool = False
 
 
-def _worker_count() -> int:
+def worker_count() -> int:
+    """Threads for chunk sampling: STURM_THREADS, default 1.
+
+    Raises ValueError when the variable is not an integer or is below 1.
+    """
     raw = os.environ.get("STURM_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"STURM_THREADS must be an integer >= 1 (got {raw!r})")
+    return workers
+
+
+def _ordered_sum(terms):
+    """Left-to-right sum of an iterable of arrays, accumulated in place in
+    the first one, which must therefore be a fresh array."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
+def _bartlett_products(chol, a):
+    """``(B, Y)`` with ``B = L A`` and ``Y = B B^T``, for a lower-triangular
+    ``chol`` = L and a batch ``a`` of lower-triangular Bartlett factors.
+
+    Both are sums of (n,) column products over the triangles; the exact
+    zeros outside them are skipped.  The summation order is fixed:
+
+    - ``B_ik`` (k <= i) adds ``L_ij A_jk`` for j = k..i ascending.
+    - ``Y_ij`` (j <= i) is lane 0 + lane 1.  Lane l adds ``B_ik B_jk`` for
+      the k <= j with k = l (mod 2): first, block by block over the full
+      blocks of eight of 0..m-1, k = 8c+6+l, 8c+4+l, 8c+2+l, 8c+l; then
+      the k after the last full block, ascending.
+
+    This is the order of numpy's einsum kernels with two float64 SIMD lanes
+    (the SSE baseline), so B and Y keep the bits of the einsum-era reports.
+    """
+    m = a.shape[1]
+    b = np.zeros_like(a)
+    for i in range(m):
+        for k in range(i + 1):
+            b[:, i, k] = _ordered_sum(chol[i, j] * a[:, j, k] for j in range(k, i + 1))
+    full = m - m % 8
+    lanes = [
+        [c + d + lane for c in range(0, full, 8) for d in (6, 4, 2, 0)] + list(range(full + lane, m, 2))
+        for lane in (0, 1)
+    ]
+    y = np.empty_like(a)
+    for i in range(m):
+        for j in range(i + 1):
+            lane_ks = [[k for k in lane if k <= j] for lane in lanes]
+            y[:, i, j] = y[:, j, i] = _ordered_sum(
+                _ordered_sum(b[:, i, k] * b[:, j, k] for k in ks) for ks in lane_ks if ks
+            )
+    return b, y
+
+
+def congruence(g, y):
+    """``g^T Y g`` for a batch ``y``.  Entry (i, l) is 0 plus the terms
+    ``(g_ji Y_jk) g_kl`` over j (outer) and k, both ascending: the order of
+    numpy's three-operand einsum, so the result keeps its bits."""
+    m = y.shape[1]
+    moved = np.empty_like(y)
+    for i in range(m):
+        row = np.zeros((m, len(y)))
+        for j in range(m):
+            for k in range(m):
+                scaled = g[j, i] * y[:, j, k]
+                for l in range(m):
+                    row[l] += scaled * g[k, l]
+        moved[:, i, :] = row.T
+    return moved
 
 
 def _chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
@@ -92,8 +167,7 @@ def _chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
     tril = np.tril_indices(m, k=-1)
     if tril[0].size:
         a[:, tril[0], tril[1]] = rng.standard_normal((count, tril[0].size))
-    b = np.einsum("ij,njk->nik", chol_scale, a)
-    y = np.einsum("nik,njk->nij", b, b)
+    b, y = _bartlett_products(chol_scale, a)
     diag = np.einsum("nii->ni", b)
     logdet_y = 2.0 * np.sum(np.log(diag), axis=1)
     tr_viy = np.einsum("nij,nij->n", a, a)
@@ -213,7 +287,7 @@ def integrate_invariant(
         chunk_index, count = job
         return _chunk_partials(f, m, nu, chol, log_norm, params.seed, chunk_index, count)
 
-    workers = _worker_count()
+    workers = worker_count()
     if workers == 1 or len(chunks) == 1:
         partials = [run(job) for job in chunks]
     else:

@@ -57,7 +57,8 @@ def gamma_m(m: int, s) -> float:
     """Multivariate gamma pi^{m(m-1)/4} prod_{nu<m} Gamma(s - nu/2).
 
     Raises PoleError carrying the pole order when any factor sits at a
-    nonpositive integer.
+    nonpositive integer, and OverflowError when the value is outside the
+    double range.
     """
     if m < 1:
         raise ValueError(f"m={m} must be >= 1")
@@ -66,8 +67,13 @@ def gamma_m(m: int, s) -> float:
         raise PoleError(f"multivariate gamma has a pole of order {order} at s={s}", order=order)
     sf = float(s)
     out = math.pi ** (0.25 * m * (m - 1))
-    for nu in range(m):
-        out *= math.gamma(sf - 0.5 * nu)
+    try:
+        for nu in range(m):
+            out *= math.gamma(sf - 0.5 * nu)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise OverflowError(f"Gamma_{m}({s}) exceeds the double range")
     return out
 
 

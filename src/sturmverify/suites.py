@@ -14,7 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cone_integration import MonteCarloParams, i_q_closed, i_q_numeric, integrate_invariant, q_trace_integral_num
+from .cone_integration import (
+    MonteCarloParams,
+    congruence,
+    i_q_closed,
+    i_q_numeric,
+    integrate_invariant,
+    q_trace_integral_num,
+)
 from .exterior_algebra import (
     ExteriorMatrix,
     exterior_power,
@@ -619,7 +626,7 @@ def run_cone(
     g = rng.uniform(-1.0, 1.0, size=(m, m)) + 2.0 * np.eye(m)
 
     def f_moved(y):
-        moved = np.einsum("ji,njk,kl->nil", g, y, g)
+        moved = congruence(g, y)
         return np.linalg.det(moved) ** float(s) * np.exp(-np.trace(moved, axis1=1, axis2=2))
 
     moved_scale = np.linalg.solve(2.0 * g @ g.T, np.eye(m))
@@ -642,7 +649,16 @@ def run_cone(
     if samples >= 16:
         half_params = MonteCarloParams(samples=samples // 2, seed=seed + 1, nu=nu)
         est_half = i_q_numeric(m, q_ref, s, t_one, half_params)
-        ratio = ests_one[q_ref].stderr / est_half.stderr
+        note = ""
+        if est_half.stderr > 0.0:
+            ratio = ests_one[q_ref].stderr / est_half.stderr
+        else:
+            # no ratio to compare: record 0, which fails the check
+            ratio = 0.0
+            note = (
+                f"the half-budget stderr is 0 ({est_half.rejected} of {est_half.samples} "
+                "samples rejected), so the stderr ratio is undefined"
+            )
         records.append(
             CheckRecord.compare(
                 "cone.stderr_scaling",
@@ -651,6 +667,7 @@ def run_cone(
                 ratio,
                 0.2 / math.sqrt(2.0),
                 mode="abs",
+                note=note,
             )
         )
 

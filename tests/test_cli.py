@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sturmverify import cli
 from sturmverify.cli import main
 
 REPORT_KEYS = {"schema", "suite", "seed", "passed", "wall_time_s", "checks"}
@@ -186,3 +187,60 @@ class TestPhantom:
         captured = capsys.readouterr()
         assert "--samples must be >= 1" in captured.err
         assert captured.out == ""
+
+
+class TestRunProblems:
+    """Failures that are not failed checks: each has its own exit code."""
+
+    def test_unwritable_out_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the suite ran although --out cannot be written")
+
+        monkeypatch.setattr(cli.suites, "run_pm", must_not_run)
+        monkeypatch.setattr(cli, "_phantom_payload", must_not_run)
+        missing = tmp_path / "missing" / "r.json"
+        src = write_expansion(tmp_path / "in.json", 2, 1, [{"twoT": [[2, 0], [0, 2]], "b": 1.0}])
+        for argv in (["verify", "pm"], ["phantom", src, "--crosscheck"]):
+            assert main(argv + ["--out", str(missing)]) == 2
+            assert "no such directory" in capsys.readouterr().err
+            assert main(argv + ["--out", str(tmp_path)]) == 2
+            assert "is a directory" in capsys.readouterr().err
+        assert not missing.parent.exists()
+
+    def test_closed_form_overflow_exits_3(self, capsys):
+        assert main(["verify", "cone", "--samples", "64", "--s", "400"]) == 3
+        captured = capsys.readouterr()
+        assert "overflows the double range" in captured.err
+        assert captured.out == ""
+
+    def test_all_samples_rejected_fails_with_finite_report(self, tmp_path):
+        out = tmp_path / "cone.json"
+        assert main(["verify", "cone", "--samples", "64", "--nu", "1e300", "--out", str(out)]) == 1
+
+        def no_constants(name):
+            raise AssertionError(f"report contains {name}")
+
+        data = json.loads(out.read_text(), parse_constant=no_constants)
+        (scaling,) = [c for c in data["checks"] if c["id"] == "cone.stderr_scaling"]
+        assert scaling["pass"] is False
+        assert "half-budget stderr is 0" in scaling["note"]
+
+    def test_unexpected_exception_exits_4(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.suites, "run_pm", crash)
+        assert main(["verify", "pm"]) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "internal error: RuntimeError: boom"
+        assert "Traceback (most recent call last)" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_sturm_threads_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STURM_THREADS", value)
+        src = write_expansion(tmp_path / "in.json", 2, 1, [{"twoT": [[2, 0], [0, 2]], "b": 1.0}])
+        for argv in (["verify", "pm"], ["phantom", src]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "STURM_THREADS must be an integer >= 1" in captured.err
+            assert captured.out == ""

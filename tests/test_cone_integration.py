@@ -10,7 +10,7 @@ from sturmverify import (
     i_q_numeric,
     integrate_invariant,
 )
-from sturmverify import suites
+from sturmverify import cone_integration, suites
 from sturmverify.cone_integration import q_trace_integral_num
 from sturmverify.exterior_algebra import exterior_power_batch, trace_sandwich
 
@@ -245,3 +245,112 @@ class TestBundledDraw:
         monkeypatch.setattr(suites, "i_q_numeric", i_q_lone)
         monkeypatch.setattr(suites, "q_trace_integral_num", q_trace_lone)
         assert suites.run_cone(m=m, s=2.5, samples=4096, seed=3, q_only=q_only) == bundled
+
+
+# The sampler's column products against the einsums the estimators used
+# before: every bit of Y, of g^T Y g and of each partial sum must agree.
+
+
+def bartlett_draw(rng, m, count, nu):
+    a = np.zeros((count, m, m))
+    for i in range(m):
+        a[:, i, i] = np.sqrt(2.0 * rng.standard_gamma(0.5 * (nu - i), size=count))
+    rows, cols = np.tril_indices(m, k=-1)
+    a[:, rows, cols] = rng.standard_normal((count, rows.size))
+    return a
+
+
+def dense_factor(rng, m):
+    """Lower-triangular, positive diagonal, negative off-diagonal entries."""
+    return np.diag(rng.uniform(0.5, 1.5, m)) - np.tril(rng.uniform(0.1, 1.0, (m, m)), k=-1)
+
+
+def same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and bool(np.all(x.view(np.int64) == y.view(np.int64)))
+
+
+def einsum_chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
+    """``_chunk_partials`` as it was with generic einsum products."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+    a = np.zeros((count, m, m))
+    for i in range(m):
+        a[:, i, i] = np.sqrt(2.0 * rng.standard_gamma(0.5 * (nu - i), size=count))
+    tril = np.tril_indices(m, k=-1)
+    if tril[0].size:
+        a[:, tril[0], tril[1]] = rng.standard_normal((count, tril[0].size))
+    b = np.einsum("ij,njk->nik", chol_scale, a)
+    y = np.einsum("nik,njk->nij", b, b)
+    diag = np.einsum("nii->ni", b)
+    logdet_y = 2.0 * np.sum(np.log(diag), axis=1)
+    tr_viy = np.einsum("nij,nij->n", a, a)
+    log_q = 0.5 * (nu - m - 1.0) * logdet_y - 0.5 * tr_viy - log_norm
+    log_w = -0.5 * (m + 1.0) * logdet_y - log_q
+    w = np.exp(log_w)
+    out = f(y)
+    bundled = isinstance(out, tuple)
+    components = out if bundled else (out,)
+    return bundled, [
+        cone_integration._component_partials(np.asarray(fx, dtype=float), w, count) for fx in components
+    ]
+
+
+class TestColumnProducts:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_bartlett_products_equal_einsum(self, m):
+        rng = np.random.default_rng(100 + m)
+        for count in (1, 5, 4096):
+            a = bartlett_draw(rng, m, count, m + 2.5)
+            for chol in (0.5 * np.eye(m), dense_factor(rng, m)):
+                b, y = cone_integration._bartlett_products(chol, a)
+                b_ref = np.einsum("ij,njk->nik", chol, a)
+                assert same_bits(b, b_ref)
+                assert same_bits(y, np.einsum("nik,njk->nij", b_ref, b_ref))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_congruence_equals_einsum(self, m):
+        rng = np.random.default_rng(200 + m)
+        y = cone_integration._bartlett_products(dense_factor(rng, m), bartlett_draw(rng, m, 4096, m + 1.0))[1]
+        g = rng.uniform(-1.0, 1.0, size=(m, m)) + 2.0 * np.eye(m)
+        assert same_bits(cone_integration.congruence(g, y), np.einsum("ji,njk,kl->nil", g, y, g))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_chunk_partials_equal_einsum_reference(self, m, threads, monkeypatch):
+        monkeypatch.setenv("STURM_THREADS", threads)
+
+        def f(y):
+            return np.linalg.det(y) ** 2.5 * np.exp(-np.trace(y, axis1=1, axis2=2)), y
+
+        rng = np.random.default_rng(300 + m)
+        chol = dense_factor(rng, m)
+        for chunk_index, count in ((0, 2048), (1, 2048), (7, 333)):
+            got = cone_integration._chunk_partials(f, m, m + 4.0, chol, 1.25, 11, chunk_index, count)
+            want = einsum_chunk_partials(f, m, m + 4.0, chol, 1.25, 11, chunk_index, count)
+            assert got[0] == want[0]
+            for got_parts, want_parts in zip(got[1], want[1], strict=True):
+                for x, x_ref in zip(got_parts, want_parts, strict=True):
+                    assert same_bits(np.asarray(x, dtype=float), np.asarray(x_ref, dtype=float))
+
+        params = MonteCarloParams(samples=9000, seed=5, chunk_size=1024)
+        scale = chol @ chol.T
+        new = integrate_invariant(f, m, params, scale=scale, nu_default=m + 4.0)
+        monkeypatch.setattr(cone_integration, "_chunk_partials", einsum_chunk_partials)
+        old = integrate_invariant(f, m, params, scale=scale, nu_default=m + 4.0)
+        for est, est_ref in zip(new, old, strict=True):
+            assert_identical(est, est_ref)
+
+
+class TestWorkerCount:
+    def test_valid_values(self, monkeypatch):
+        monkeypatch.delenv("STURM_THREADS", raising=False)
+        assert cone_integration.worker_count() == 1
+        for raw, want in (("1", 1), ("2", 2), (" 3 ", 3), ("+4", 4)):
+            monkeypatch.setenv("STURM_THREADS", raw)
+            assert cone_integration.worker_count() == want
+
+    @pytest.mark.parametrize("raw", ["abc", "", "0", "-2", "1.5"])
+    def test_invalid_values_raise(self, raw, monkeypatch):
+        monkeypatch.setenv("STURM_THREADS", raw)
+        with pytest.raises(ValueError, match="STURM_THREADS"):
+            cone_integration.worker_count()

@@ -60,6 +60,14 @@ def test_gamma_m_genus_three_product_form():
     assert gamma_m(3, s) == pytest.approx(want, rel=1e-14)
 
 
+def test_gamma_m_overflow_raises():
+    # one factor past math.gamma's range, and a product of finite factors past the double range
+    for s in (400.0, 171.0):
+        with pytest.raises(OverflowError, match="exceeds the double range"):
+            gamma_m(2, s)
+    assert math.isfinite(gamma_m(2, 80.0))
+
+
 def test_gamma_m_shift_recursion(rng):
     # Gamma_m(s + 1) = Gamma_m(s) * prod_nu (s - nu/2)
     for _ in range(30):
