@@ -11,7 +11,6 @@ Monte Carlo over the SPD cone.
 from .errors import NotPositiveDefiniteError, PoleError, UnsupportedRegimeError
 from .exterior_algebra import (
     ExteriorMatrix,
-    SubsetBasis,
     elementary_symmetric,
     eps,
     exterior_power,
@@ -57,7 +56,6 @@ from .sturm_operator import (
     phantom_series,
     sturm_limit,
     sturm_numeric,
-    vanishing_check,
 )
 from .finite_difference import FDScheme, det_dz_numeric, exterior_derivative_num, sym_partial
 from .report import CheckRecord, VerificationReport
@@ -76,7 +74,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PoleError",
     "SturmResult",
-    "SubsetBasis",
     "UnsupportedRegimeError",
     "VerificationReport",
     "a_closed",
@@ -113,5 +110,4 @@ __all__ = [
     "sym_partial",
     "sym_sqrt",
     "trace_sandwich",
-    "vanishing_check",
 ]

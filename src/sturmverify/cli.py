@@ -19,22 +19,16 @@ import traceback
 
 from . import suites
 from .errors import PoleError, UnsupportedRegimeError
-from .cone_integration import MonteCarloParams, worker_count
-from .maass_operator import FourierExpansion, maass_coeff_factor
-from .report import CheckRecord, VerificationReport
-from .sturm_operator import a_closed, phantom_series, sturm_limit, sturm_numeric
+from .cone_integration import worker_count
+from .maass_operator import FourierExpansion
+from .report import VerificationReport, write_json
+from .sturm_operator import phantom_series, sturm_limit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
-
-SUITES = ("pm", "exterior", "sandwich", "maass", "cone", "sturm", "all")
-
-# parameters of single suites, with their defaults; the parser leaves them
-# None so that a flag given to ``verify all``, which ignores them, is seen
-SUITE_PARAMETERS = {"m": 2, "k": 1, "s": 2.5, "nu": None, "q": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("suite", choices=SUITES)
+    verify.add_argument("suite", choices=suites.SUITES + ("all",))
     verify.add_argument("--m", type=int, default=None, help="genus for the cone suite (default 2)")
     verify.add_argument("--k", type=int, default=None, help="weight for the genus-2 coefficient cross-check (default 1)")
     verify.add_argument("--s", type=float, default=None, help="shift for the cone suite (default 2.5)")
@@ -67,11 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_verify(args) -> str | None:
-    """The first problem with the flags, or None; fills in suite defaults."""
-    given = [f"--{name}" for name in SUITE_PARAMETERS if getattr(args, name) is not None]
+    """The first problem with the flags, or None; fills in suite defaults
+    (the parser leaves them None, so that one given to ``verify all`` is seen)."""
+    defaults = suites.SuiteParameters()._asdict()
+    given = [f"--{name}" for name in defaults if getattr(args, name) is not None]
     if args.suite == "all" and given:
         return f"verify all runs every suite at its own parameters and takes no {', '.join(given)}"
-    for name, default in SUITE_PARAMETERS.items():
+    for name, default in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
     if args.m < 1:
@@ -120,35 +116,10 @@ def cmd_verify(args) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    sizes = suites.budget(args.samples, args.max_genus, args.quick)
+    params = suites.SuiteParameters(m=args.m, k=args.k, s=args.s, nu=args.nu, q=args.q)
     started = time.perf_counter()
     try:
-        if args.suite == "pm":
-            checks = suites.run_pm(sizes.max_genus)
-        elif args.suite == "exterior":
-            checks = suites.run_exterior(args.seed, instances=sizes.instances, max_m=sizes.max_m)
-        elif args.suite == "sandwich":
-            checks = suites.run_sandwich(args.seed, instances=sizes.instances, max_m=sizes.max_m)
-        elif args.suite == "maass":
-            checks = suites.run_maass(args.seed, quick=args.quick) + suites.run_fd(
-                args.seed, quick=args.quick
-            )
-        elif args.suite == "cone":
-            checks = suites.run_cone(
-                m=args.m,
-                s=args.s,
-                samples=sizes.samples,
-                seed=args.seed,
-                nu=args.nu,
-                q_only=args.q,
-                quick=args.quick,
-            )
-        elif args.suite == "sturm":
-            checks = suites.run_sturm(samples=sizes.samples, seed=args.seed, quick=args.quick, k2=args.k)
-        else:
-            checks = suites.run_all(
-                seed=args.seed, samples=args.samples, max_genus=args.max_genus, quick=args.quick
-            )
+        checks = suites.run_suite(args.suite, args.seed, args.samples, args.max_genus, args.quick, params)
     except PoleError as exc:
         print(f"error: parameters hit a pole: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -165,58 +136,37 @@ def cmd_verify(args) -> int:
         checks=checks,
         wall_time_s=time.perf_counter() - started,
     )
-    report.write(args.out)
+    write_json(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _phantom_payload(h: FourierExpansion, args) -> tuple[dict, int]:
-    m = h.m
-    if h.k == m - 1:
-        image = phantom_series(h)
-        results = [sturm_limit(m, h.k, form, b).to_json() for form, b in h.terms.items()]
-        payload = {
-            "schema": "1",
-            "regime": "phantom",
-            "input": h.to_json(),
-            "image": image.to_json(),
-            "results": results,
-        }
-        code = EXIT_OK
-        if args.crosscheck:
-            checks = []
-            for i, (form, b) in enumerate(h.terms.items()):
-                coeff = lambda f, y, _b=b: _b * maass_coeff_factor(m, h.k, f, y)
-                est = sturm_numeric(
-                    m, h.k + 2, coeff, form, 1.0, MonteCarloParams(samples=args.samples, seed=args.seed)
-                )
-                checks.append(
-                    CheckRecord.compare(
-                        f"phantom.crosscheck.term{i}",
-                        "Monte Carlo coefficient integral at s=1 matches the closed form",
-                        a_closed(m, h.k, 1.0, form, b),
-                        est.value,
-                        3.0,
-                        mode="sigma",
-                        stderr=est.stderr,
-                    )
-                )
-            payload["crosscheck"] = [c.to_json() for c in checks]
-            if not all(c.passed for c in checks):
-                code = EXIT_CHECK_FAILED
-        return payload, code
-
-    # k >= m: the normalized limit vanishes identically
-    zero_image = FourierExpansion(m, h.k + 2, {form: 0.0 for form in h.terms})
-    results = [sturm_limit(m, h.k, form, b).to_json() for form, b in h.terms.items()]
-    payload = {
-        "schema": "1",
-        "regime": "vanishing",
-        "note": "the normalized limit is exactly 0 for every index at this weight",
-        "input": h.to_json(),
-        "image": zero_image.to_json(),
-        "results": results,
-    }
-    return payload, EXIT_OK
+    vanishing = h.k >= h.m
+    payload = {"schema": "1", "regime": "vanishing" if vanishing else "phantom"}
+    if vanishing:
+        payload["note"] = "the normalized limit is exactly 0 for every index at this weight"
+    image = FourierExpansion(h.m, h.k + 2, {form: 0.0 for form in h.terms}) if vanishing else phantom_series(h)
+    payload["input"] = h.to_json()
+    payload["image"] = image.to_json()
+    payload["results"] = [sturm_limit(h.m, h.k, form, b).to_json() for form, b in h.terms.items()]
+    if vanishing or not args.crosscheck:
+        return payload, EXIT_OK
+    rows = [
+        (
+            f"phantom.crosscheck.term{i}",
+            "Monte Carlo coefficient integral at s=1 matches the closed form",
+            h.m,
+            h.k,
+            1.0,
+            form,
+            b,
+            args.samples,
+        )
+        for i, (form, b) in enumerate(h.terms.items())
+    ]
+    checks = suites.coefficient_checks(rows, args.seed)
+    payload["crosscheck"] = [c.to_json() for c in checks]
+    return payload, EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
 def cmd_phantom(args) -> int:
@@ -245,12 +195,7 @@ def cmd_phantom(args) -> int:
         return EXIT_UNSUPPORTED
 
     payload, code = _phantom_payload(h, args)
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_json(payload, args.out)
     return code
 
 

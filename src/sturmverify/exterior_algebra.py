@@ -42,28 +42,6 @@ def _subset_pos(m: int, q: int) -> dict:
 
 
 @dataclass(frozen=True)
-class SubsetBasis:
-    """Lexicographic basis of q-subsets of {1..m} indexing an exterior power."""
-
-    m: int
-    q: int
-
-    def __post_init__(self):
-        if not 0 <= self.q <= self.m:
-            raise ValueError(f"subset size q={self.q} out of range 0..{self.m}")
-
-    @property
-    def subsets(self) -> tuple:
-        return q_subsets(self.m, self.q)
-
-    def index(self, subset) -> int:
-        return _subset_pos(self.m, self.q)[tuple(subset)]
-
-    def __len__(self) -> int:
-        return math.comb(self.m, self.q)
-
-
-@dataclass(frozen=True)
 class ExteriorMatrix:
     """A binom(m, q)-square matrix indexed by the lexicographic q-subset basis."""
 
@@ -79,20 +57,6 @@ class ExteriorMatrix:
                 f"entries shape {entries.shape} does not match binom({self.m},{self.q})={dim}"
             )
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def basis(self) -> SubsetBasis:
-        return SubsetBasis(self.m, self.q)
-
-    @property
-    def dim(self) -> int:
-        return math.comb(self.m, self.q)
-
-    def transpose(self) -> "ExteriorMatrix":
-        return ExteriorMatrix(self.m, self.q, self.entries.T)
-
-    def trace(self) -> float:
-        return self.entries.trace()
 
     def __matmul__(self, other):
         if not isinstance(other, ExteriorMatrix):

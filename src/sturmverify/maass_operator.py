@@ -117,9 +117,6 @@ class FourierExpansion:
             clean[form] = b
         object.__setattr__(self, "terms", clean)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -146,11 +143,6 @@ class FourierExpansion:
     def load(cls, path) -> "FourierExpansion":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
 
 
 def det_dz_closed(m: int, j, t_mat, z_mat) -> complex:

@@ -137,9 +137,6 @@ class BivariatePolynomial:
     def variable_z(cls) -> "BivariatePolynomial":
         return cls({(0, 1): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -206,9 +203,6 @@ class BivariatePolynomial:
         if total is None:
             return Fraction(0) if isinstance(s, Rational) and isinstance(z, Rational) else 0.0
         return total
-
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.coeffs), default=0)
 
     def __repr__(self) -> str:
         if not self.coeffs:

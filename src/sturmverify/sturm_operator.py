@@ -124,13 +124,6 @@ def phantom_series(h: FourierExpansion) -> FourierExpansion:
     return FourierExpansion(h.m, h.k + 2, image)
 
 
-def vanishing_check(m: int, k: int) -> float:
-    """Normalized limit for weights k >= m; exactly 0.0 by pole bookkeeping."""
-    if k < m:
-        raise ValueError(f"k={k} must be >= m={m}")
-    return limit_factor(m, k)
-
-
 def sturm_limit(m: int, k: int, form: HalfIntegralForm, b_t: float) -> SturmResult:
     """Analytic s -> 0 limit of the normalized coefficient: b(T) det(T) L(m, k)."""
     value = limit_factor(m, k) * float(form.det) * b_t

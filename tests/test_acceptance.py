@@ -192,8 +192,8 @@ def test_criterion_07_holomorphic_normalization(announce):
 
 def test_criterion_08_exterior_algebra_suite(announce):
     started = time.perf_counter()
-    records = run_exterior(0, instances=200, max_m=5, tol=1e-9)
-    records += run_sandwich(0, instances=200, max_m=5, tol=1e-9)
+    records = run_exterior(0, instances=200, max_m=5)
+    records += run_sandwich(0, instances=200, max_m=5)
     elapsed = time.perf_counter() - started
     ok = all(r.passed for r in records) and elapsed < 10.0
     announce(

@@ -224,6 +224,20 @@ class TestRunProblems:
         (scaling,) = [c for c in data["checks"] if c["id"] == "cone.stderr_scaling"]
         assert scaling["pass"] is False
         assert "half-budget stderr is 0" in scaling["note"]
+        # these compare 0 with 0 and would pass without the starved-estimate rule
+        by_id = {c["id"]: c for c in data["checks"]}
+        starved = [f"cone.iq{q}.{kind}" for q in range(3) for kind in ("precision", "invariance")]
+        for check_id in starved + ["cone.matrix_q1.offdiagonal", "cone.invariance"]:
+            assert by_id[check_id]["pass"] is False, check_id
+            assert "accepted no sample" in by_id[check_id]["note"], check_id
+
+    def test_sturm_closed_forms_come_before_sampling(self, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sampled before the closed forms were evaluated")
+
+        monkeypatch.setattr(cli.suites, "sturm_numeric", must_not_run)
+        assert main(["verify", "sturm", "--k", "400", "--samples", "64"]) == 3
+        assert "overflows the double range" in capsys.readouterr().err
 
     def test_unexpected_exception_exits_4(self, monkeypatch, capsys):
         def crash(*args, **kwargs):

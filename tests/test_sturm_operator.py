@@ -18,7 +18,6 @@ from sturmverify import (
     phantom_series,
     sturm_limit,
     sturm_numeric,
-    vanishing_check,
 )
 from conftest import half_integral
 
@@ -113,12 +112,6 @@ class TestLimitMachinery:
             lhs = (-1) ** (m + 1) * (2j * (2j * math.pi)) ** m
             rhs = -(FOUR_PI**m)
             assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
-
-    def test_vanishing_check(self):
-        assert vanishing_check(2, 2) == 0.0
-        assert vanishing_check(5, 9) == 0.0
-        with pytest.raises(ValueError):
-            vanishing_check(3, 2)
 
     def test_limit_matches_phantom_chain(self, rng):
         for m in range(2, 6):
