@@ -11,7 +11,6 @@ Monte Carlo over the SPD cone.
 from .errors import NotPositiveDefiniteError, PoleError, UnsupportedRegimeError
 from .exterior_algebra import (
     ExteriorMatrix,
-    elementary_symmetric,
     eps,
     exterior_power,
     exterior_power_batch,
@@ -57,7 +56,7 @@ from .sturm_operator import (
     sturm_limit,
     sturm_numeric,
 )
-from .finite_difference import FDScheme, det_dz_numeric, exterior_derivative_num, sym_partial
+from .finite_difference import det_dz_numeric, exterior_derivative_num
 from .report import CheckRecord, VerificationReport
 
 __version__ = "0.1.0"
@@ -66,7 +65,6 @@ __all__ = [
     "BivariatePolynomial",
     "CheckRecord",
     "ExteriorMatrix",
-    "FDScheme",
     "FourierExpansion",
     "HalfIntegralForm",
     "IntegralEstimate",
@@ -82,7 +80,6 @@ __all__ = [
     "c_poch",
     "det_dz_closed",
     "det_dz_numeric",
-    "elementary_symmetric",
     "eps",
     "exterior_derivative_num",
     "exterior_power",
@@ -107,7 +104,6 @@ __all__ = [
     "sqcap",
     "sturm_limit",
     "sturm_numeric",
-    "sym_partial",
     "sym_sqrt",
     "trace_sandwich",
 ]

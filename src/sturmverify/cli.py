@@ -194,7 +194,11 @@ def cmd_phantom(args) -> int:
         )
         return EXIT_UNSUPPORTED
 
-    payload, code = _phantom_payload(h, args)
+    try:
+        payload, code = _phantom_payload(h, args)
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     write_json(payload, args.out)
     return code
 

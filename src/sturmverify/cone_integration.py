@@ -10,10 +10,8 @@ A_ii^2 ~ chi^2(nu - i) (0-based i) and standard normal subdiagonal.  The
 importance weight is the invariant-measure density divided by the Wishart
 density, with det powers and tr(V^{-1} Y) read off the Cholesky factors
 (log det Y = log det V + 2 sum log A_ii, tr(V^{-1} Y) = sum A_ij^2).
-L A and Y are formed from (n,) column products over the triangles, in a
-fixed summation order (see ``_bartlett_products``).  That order is the
-one numpy's generic einsum used when earlier reports were computed, so
-those reports keep every bit.
+L A and Y are formed from (n,) column products over the triangles (see
+``_bartlett_products``).
 
 Reproducibility: samples are drawn in fixed-size chunks, chunk c from the
 substream SeedSequence(seed, spawn_key=(c,)), and per-chunk partial sums
@@ -95,67 +93,23 @@ def worker_count() -> int:
     return workers
 
 
-def _ordered_sum(terms):
-    """Left-to-right sum of an iterable of arrays, accumulated in place in
-    the first one, which must therefore be a fresh array."""
-    terms = iter(terms)
-    total = next(terms)
-    for term in terms:
-        total += term
-    return total
-
-
 def _bartlett_products(chol, a):
     """``(B, Y)`` with ``B = L A`` and ``Y = B B^T``, for a lower-triangular
     ``chol`` = L and a batch ``a`` of lower-triangular Bartlett factors.
 
-    Both are sums of (n,) column products over the triangles; the exact
-    zeros outside them are skipped.  The summation order is fixed:
-
-    - ``B_ik`` (k <= i) adds ``L_ij A_jk`` for j = k..i ascending.
-    - ``Y_ij`` (j <= i) is lane 0 + lane 1.  Lane l adds ``B_ik B_jk`` for
-      the k <= j with k = l (mod 2): first, block by block over the full
-      blocks of eight of 0..m-1, k = 8c+6+l, 8c+4+l, 8c+2+l, 8c+l; then
-      the k after the last full block, ascending.
-
-    This is the order of numpy's einsum kernels with two float64 SIMD lanes
-    (the SSE baseline), so B and Y keep the bits of the einsum-era reports.
+    Both are sums of (n,) column products over the triangles, in ascending
+    order; the exact zeros outside them are skipped.
     """
     m = a.shape[1]
     b = np.zeros_like(a)
     for i in range(m):
         for k in range(i + 1):
-            b[:, i, k] = _ordered_sum(chol[i, j] * a[:, j, k] for j in range(k, i + 1))
-    full = m - m % 8
-    lanes = [
-        [c + d + lane for c in range(0, full, 8) for d in (6, 4, 2, 0)] + list(range(full + lane, m, 2))
-        for lane in (0, 1)
-    ]
+            b[:, i, k] = sum(chol[i, j] * a[:, j, k] for j in range(k, i + 1))
     y = np.empty_like(a)
     for i in range(m):
         for j in range(i + 1):
-            lane_ks = [[k for k in lane if k <= j] for lane in lanes]
-            y[:, i, j] = y[:, j, i] = _ordered_sum(
-                _ordered_sum(b[:, i, k] * b[:, j, k] for k in ks) for ks in lane_ks if ks
-            )
+            y[:, i, j] = y[:, j, i] = sum(b[:, i, k] * b[:, j, k] for k in range(j + 1))
     return b, y
-
-
-def congruence(g, y):
-    """``g^T Y g`` for a batch ``y``.  Entry (i, l) is 0 plus the terms
-    ``(g_ji Y_jk) g_kl`` over j (outer) and k, both ascending: the order of
-    numpy's three-operand einsum, so the result keeps its bits."""
-    m = y.shape[1]
-    moved = np.empty_like(y)
-    for i in range(m):
-        row = np.zeros((m, len(y)))
-        for j in range(m):
-            for k in range(m):
-                scaled = g[j, i] * y[:, j, k]
-                for l in range(m):
-                    row[l] += scaled * g[k, l]
-        moved[:, i, :] = row.T
-    return moved
 
 
 def _chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):

@@ -209,27 +209,13 @@ def _esp_table(values: np.ndarray, qmax: int) -> np.ndarray:
     return e
 
 
-def elementary_symmetric(values, q: int):
-    """Elementary symmetric polynomial e_q of the entries along the last axis."""
-    values = np.asarray(values, dtype=float)
-    if not 0 <= q <= values.shape[-1]:
-        raise ValueError(f"q={q} out of range 0..{values.shape[-1]}")
-    out = _esp_table(values, q)[..., q]
-    return float(out) if out.ndim == 0 else out
-
-
-def sandwich_eigenvalues(y, t) -> np.ndarray:
-    """Eigenvalues of Y^{1/2} T Y^{1/2} (same as those of Y T); Y may be a batch."""
-    root = sym_sqrt(y)
-    t = np.asarray(t, dtype=float)
-    s = root @ t @ root
-    s = 0.5 * (s + np.swapaxes(s, -1, -2))
-    return np.linalg.eigvalsh(s)
-
-
 def sandwich_esp_all(y, t, qmax: int) -> np.ndarray:
-    """e_0..e_qmax of the sandwiched eigenvalues, stacked along the last axis."""
-    return _esp_table(sandwich_eigenvalues(y, t), qmax)
+    """e_0..e_qmax of the eigenvalues of Y^{1/2} T Y^{1/2} (the same as
+    those of Y T), stacked along the last axis; Y may be a batch."""
+    root = sym_sqrt(y)
+    s = root @ np.asarray(t, dtype=float) @ root
+    s = 0.5 * (s + np.swapaxes(s, -1, -2))
+    return _esp_table(np.linalg.eigvalsh(s), qmax)
 
 
 def trace_sandwich(y, t, q: int):
@@ -239,7 +225,8 @@ def trace_sandwich(y, t, q: int):
     must be symmetric but need not be definite.  Degree q = 0 gives 1 and
     q = m gives det(Y) det(T).
     """
-    vals = sandwich_eigenvalues(y, t)
-    if not 0 <= q <= vals.shape[-1]:
-        raise ValueError(f"q={q} out of range 0..{vals.shape[-1]}")
-    return elementary_symmetric(vals, q)
+    m = np.shape(y)[-1]
+    if not 0 <= q <= m:
+        raise ValueError(f"q={q} out of range 0..{m}")
+    out = sandwich_esp_all(y, t, q)[..., q]
+    return float(out) if out.ndim == 0 else out

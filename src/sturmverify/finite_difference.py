@@ -10,6 +10,9 @@ realized numerically by perturbing the (mu, nu) and (nu, mu) entries
 together (one symmetric coordinate) and applying the half factor
 analytically, so e.g. the derivative of tr(TY) is exactly T.
 
+The scheme is fixed: the fourth-order central stencil at steps h = 1e-2
+and h/2, combined by Richardson extrapolation (16 f_{h/2} - f_h) / 15.
+
 The function under differentiation takes a batch: it maps a stack
 (N, m, m) of matrices to their N values.  Each oracle stacks every point
 of its nested stencils and calls it once.
@@ -20,43 +23,16 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedRegimeError
 from .exterior_algebra import ExteriorMatrix, q_subsets
 
-_STENCILS = {
-    2: ((1, 0.5), (-1, -0.5)),
-    4: ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0)),
-}
-# step-halving extrapolation weights: order 2 -> (4 f_{h/2} - f_h)/3, order 4 -> (16 f_{h/2} - f_h)/15
-_RICHARDSON = {2: (4.0, 3.0), 4: (16.0, 15.0)}
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """Step control for the difference oracles.
-
-    ``h = None`` selects 1e-2 * (1 + max |entry|) at the evaluation point.
-    With ``richardson`` the scheme combines steps h and h/2.
-    """
-
-    h: float | None = None
-    richardson: bool = True
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order not in _STENCILS:
-            raise ValueError(f"stencil order must be one of {sorted(_STENCILS)}")
-        if self.h is not None and self.h <= 0:
-            raise ValueError("step h must be positive")
-
-    def step_for(self, mat) -> float:
-        if self.h is not None:
-            return self.h
-        return 1e-2 * (1.0 + float(np.max(np.abs(mat))))
+# fourth-order central stencil: (offset, weight) pairs
+_STENCIL = ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0))
+# steps h = 1e-2 and h/2, whose values ``_extrapolate`` combines
+_STEPS = (1e-2, 0.5 * 1e-2)
 
 
 def _perm_sign(perm) -> int:
@@ -79,7 +55,7 @@ def _single(diffs):
     return diffs[0]
 
 
-def _stencil_trees(f, base, trees, order: int) -> list:
+def _stencil_trees(f, base, trees) -> list:
     """Nested central differences of f at ``base``, one value per tree.
 
     Each tree is ``(h, levels)`` with ``levels`` listed outermost first; a
@@ -93,15 +69,14 @@ def _stencil_trees(f, base, trees, order: int) -> list:
     a recursion over the levels, so every value is that recursion's value
     bit for bit.
     """
-    stencil = _STENCILS[order]
-    shapes = [[len(directions) * len(stencil) for directions, _ in levels] for _, levels in trees]
+    shapes = [[len(directions) * len(_STENCIL) for directions, _ in levels] for _, levels in trees]
     bounds = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
     spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     stack = np.empty((bounds[-1],) + base.shape, dtype=base.dtype)
     for (h, levels), span in zip(trees, spans):
         points = base[None]
         for directions, _ in levels:
-            steps = np.stack([(off * h) * d for d in directions for off, _ in stencil])
+            steps = np.stack([(off * h) * d for d in directions for off, _ in _STENCIL])
             points = (points[:, None] + steps[None]).reshape((-1,) + base.shape)
         stack[span] = points
     values = np.asarray(f(stack))
@@ -114,11 +89,11 @@ def _stencil_trees(f, base, trees, order: int) -> list:
     for (h, levels), span, shape in zip(trees, spans, shapes):
         tree = values[span].reshape(shape)
         for directions, combine in reversed(levels):
-            tree = tree.reshape(tree.shape[:-1] + (len(directions), len(stencil)))
+            tree = tree.reshape(tree.shape[:-1] + (len(directions), len(_STENCIL)))
             diffs = []
             for i in range(len(directions)):
                 acc = None
-                for k, (_, coeff) in enumerate(stencil):
+                for k, (_, coeff) in enumerate(_STENCIL):
                     term = coeff * tree[..., i, k]
                     acc = term if acc is None else acc + term
                 diffs.append(acc / h)
@@ -127,33 +102,13 @@ def _stencil_trees(f, base, trees, order: int) -> list:
     return out
 
 
-def _step_sizes(scheme: FDScheme, h: float) -> tuple:
-    return (h, 0.5 * h) if scheme.richardson else (h,)
-
-
-def _extrapolate(scheme: FDScheme, values):
-    """Combine the values taken at the step sizes of ``_step_sizes``."""
-    if not scheme.richardson:
-        return values[0]
+def _extrapolate(values):
+    """Richardson combination of the values taken at the steps ``_STEPS``."""
     big, small = values
-    lead, den = _RICHARDSON[scheme.order]
-    return (lead * small - big) / den
+    return (16.0 * small - big) / 15.0
 
 
-def sym_partial(f, y, mu: int, nu: int, scheme: FDScheme = FDScheme()):
-    """Entry (mu, nu) of the symmetric-matrix derivative of f at y.
-
-    ``f`` maps a stack (N, m, m) of matrices to their N scalar values.
-    """
-    y = np.asarray(y, dtype=float)
-    delta = _pair_delta(y.shape[0], mu, nu)
-    factor = 1.0 if mu == nu else 0.5
-    level = ((delta,), _single)
-    steps = _step_sizes(scheme, scheme.step_for(y))
-    return factor * _extrapolate(scheme, _stencil_trees(f, y, [(hh, [level]) for hh in steps], scheme.order))
-
-
-def exterior_derivative_num(f, y, q: int, scheme: FDScheme = FDScheme()) -> ExteriorMatrix:
+def exterior_derivative_num(f, y, q: int) -> ExteriorMatrix:
     """Numeric exterior-power derivative matrix of a scalar function of a
     symmetric matrix: entry (a, b) expands det over the symmetric-derivative
     operators with rows a and columns b,
@@ -161,7 +116,9 @@ def exterior_derivative_num(f, y, q: int, scheme: FDScheme = FDScheme()) -> Exte
         sum_{sigma} sgn(sigma) prod_i (d)_{a_i, b_sigma(i)} f .
 
     ``f`` maps a stack (N, m, m) of matrices to their N scalar values.
-    Mixed partials above order 3 are refused (cost and roundoff).
+    Degree 1 is the symmetric derivative itself: entry (mu, nu) is
+    (d f)_{mu nu}.  Mixed partials above order 3 are refused (cost and
+    roundoff).
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
@@ -186,11 +143,10 @@ def exterior_derivative_num(f, y, q: int, scheme: FDScheme = FDScheme()) -> Exte
                 terms.append((_perm_sign(perm) * factor, levels))
             entries.append(terms)
 
-    steps = _step_sizes(scheme, scheme.step_for(y))
-    trees = [(hh, levels) for hh in steps for terms in entries for _, levels in terms]
-    values = iter(_stencil_trees(f, y, trees, scheme.order))
+    trees = [(hh, levels) for hh in _STEPS for terms in entries for _, levels in terms]
+    values = iter(_stencil_trees(f, y, trees))
     matrices = []
-    for _ in steps:
+    for _ in _STEPS:
         out = np.empty(len(entries))
         for n, terms in enumerate(entries):
             total = 0.0
@@ -199,21 +155,20 @@ def exterior_derivative_num(f, y, q: int, scheme: FDScheme = FDScheme()) -> Exte
             out[n] = total
         matrices.append(out.reshape(len(subs), len(subs)))
 
-    if scheme.richardson:
-        big, small = matrices
-        spread = np.abs(small - big)
-        ref = np.maximum(np.abs(small), np.abs(big))
-        if np.any(spread > 0.5 * ref + 1e-9):
-            warnings.warn(
-                "step halving moved some derivative entries by more than 50%; "
-                "the difference scheme may be unstable at this point",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return ExteriorMatrix(m, q, _extrapolate(scheme, matrices))
+    big, small = matrices
+    spread = np.abs(small - big)
+    ref = np.maximum(np.abs(small), np.abs(big))
+    if np.any(spread > 0.5 * ref + 1e-9):
+        warnings.warn(
+            "step halving moved some derivative entries by more than 50%; "
+            "the difference scheme may be unstable at this point",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return ExteriorMatrix(m, q, _extrapolate(matrices))
 
 
-def det_dz_numeric(f, z, scheme: FDScheme = FDScheme()) -> complex:
+def det_dz_numeric(f, z) -> complex:
     """Numeric determinant of the complex symmetric derivative applied to f:
 
         det(d/dZ) f,   (d/dZ)_{mu nu} = 1/2 (1 + delta_{mu nu}) 1/2 (d/dx - i d/dy)
@@ -233,13 +188,12 @@ def det_dz_numeric(f, z, scheme: FDScheme = FDScheme()) -> complex:
         return (delta, 1j * delta), lambda d: factor * 0.5 * (d[0] - 1j * d[1])
 
     perms = list(itertools.permutations(range(m)))
-    steps = _step_sizes(scheme, scheme.step_for(z))
-    trees = [(hh, [level(i, perm[i]) for i in range(m)]) for hh in steps for perm in perms]
-    values = iter(_stencil_trees(f, z, trees, scheme.order))
+    trees = [(hh, [level(i, perm[i]) for i in range(m)]) for hh in _STEPS for perm in perms]
+    values = iter(_stencil_trees(f, z, trees))
     totals = []
-    for _ in steps:
+    for _ in _STEPS:
         total = 0.0 + 0.0j
         for perm in perms:
             total += _perm_sign(perm) * next(values)
         totals.append(total)
-    return _extrapolate(scheme, totals)
+    return _extrapolate(totals)

@@ -159,14 +159,23 @@ def det_dz_closed(m: int, j, t_mat, z_mat) -> complex:
     z = np.asarray(z_mat, dtype=complex)
     if t.shape != (m, m) or z.shape != (m, m):
         raise ValueError(f"T and Z must be {m}x{m}")
-    y = z.imag
+    return _det_dz_amplitude(m, j, t, z.imag) * np.exp(2j * math.pi * np.trace(t @ z))
+
+
+def _det_dz_amplitude(m: int, j, t, y) -> complex:
+    """``det_dz_closed`` without its factor exp(2 pi i tr(T Z)), whose
+    modulus is exp(-2 pi tr(TY)) for Y = Im Z:
+
+        (2i)^{-m} det(Y)^{j-1} sum_q (-4 pi)^q C_{m-q}(j) trace((Y^{1/2} T Y^{1/2})^[q]) .
+
+    A comparison that would cancel that factor against its inverse uses
+    this instead: the inverse overflows once tr(TY) passes about 113.
+    """
     esp = sandwich_esp_all(y, t, m)
     total = 0.0
     for q in range(m + 1):
         total += (-FOUR_PI) ** q * float(c_poch(m - q, float(j))) * esp[q]
-    dety = float(np.linalg.det(y))
-    phase = np.exp(2j * math.pi * np.trace(t @ z))
-    return (2j) ** (-m) * dety ** (j - 1.0) * phase * total
+    return (2j) ** (-m) * float(np.linalg.det(y)) ** (j - 1.0) * total
 
 
 def maass_coeff_factor(m: int, k: int, form, y):

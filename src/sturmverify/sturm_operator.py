@@ -99,15 +99,22 @@ def a_closed_qsum(m: int, k: int, s, form: HalfIntegralForm, b_t: float) -> floa
     return b_t * float(form.det) * g * FOUR_PI ** (-m * arg) * float(total)
 
 
+def _finite(value: float, what: str, form: HalfIntegralForm, b_t: float) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"the {what} of twoT={form.to_json()}, b={b_t} leaves the double range")
+    return value
+
+
 def phantom_coeff(m: int, form: HalfIntegralForm, b_t: float) -> float:
     """-(4 pi)^m det(T) b(T): the image coefficient surviving at weight m + 1.
 
     det(T) is exact (det(2T) / 2^m over the integers) before the single
-    float conversion.
+    float conversion.  Raises OverflowError when the value leaves the
+    double range.
     """
     if form.m != m:
         raise ValueError(f"index genus {form.m} != m={m}")
-    return -(FOUR_PI ** m) * float(form.det) * b_t
+    return _finite(-(FOUR_PI ** m) * float(form.det) * b_t, "phantom coefficient", form, b_t)
 
 
 def phantom_series(h: FourierExpansion) -> FourierExpansion:
@@ -125,8 +132,11 @@ def phantom_series(h: FourierExpansion) -> FourierExpansion:
 
 
 def sturm_limit(m: int, k: int, form: HalfIntegralForm, b_t: float) -> SturmResult:
-    """Analytic s -> 0 limit of the normalized coefficient: b(T) det(T) L(m, k)."""
-    value = limit_factor(m, k) * float(form.det) * b_t
+    """Analytic s -> 0 limit of the normalized coefficient: b(T) det(T) L(m, k).
+
+    Raises OverflowError when the value leaves the double range.
+    """
+    value = _finite(limit_factor(m, k) * float(form.det) * b_t, "s -> 0 limit", form, b_t)
     regime = REGIME_PHANTOM if k == m - 1 else REGIME_VANISHING
     return SturmResult(m, k, form, None, value, regime)
 

@@ -101,6 +101,18 @@ class TestVerify:
         data_b.pop("wall_time_s")
         assert data_a == data_b
 
+    def test_report_is_identical_for_any_thread_count(self, tmp_path, monkeypatch):
+        # two chunks per integral, so with two threads the pool runs every
+        # integrand, f_moved's g^T Y g included
+        texts = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STURM_THREADS", threads)
+            out = tmp_path / f"cone{threads}.json"
+            assert main(["verify", "cone", "--samples", "131072", "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            texts.append([line for line in lines if '"wall_time_s"' not in line])
+        assert texts[0] == texts[1]
+
     def test_stdout_when_no_out_flag(self, capsys):
         assert main(["verify", "pm"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -167,6 +179,15 @@ class TestPhantom:
             captured = capsys.readouterr()
             assert "not finite" in captured.err
             assert captured.out == ""
+
+    def test_image_overflow_exits_3(self, tmp_path, capsys):
+        # b is finite, but -(4 pi)^2 det(T) b is not
+        src = write_expansion(tmp_path / "in.json", 2, 1, [{"twoT": [[2, 0], [0, 2]], "b": 1e307}])
+        assert main(["phantom", src]) == 3
+        captured = capsys.readouterr()
+        assert "leaves the double range" in captured.err
+        assert captured.out == ""
+        assert "Infinity" not in captured.err
 
     def test_duplicate_index_exits_2(self, tmp_path, capsys):
         terms = [{"twoT": [[2, 1], [1, 2]], "b": 1.0}, {"twoT": [[2, 1], [1, 2]], "b": 2.0}]

@@ -4,31 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from sturmverify import FDScheme, UnsupportedRegimeError, det_dz_numeric, sym_partial
-from sturmverify.finite_difference import _perm_sign, exterior_derivative_num
+from sturmverify import UnsupportedRegimeError, det_dz_numeric, exterior_derivative_num
+from sturmverify.finite_difference import _perm_sign
 from conftest import spd
 
 TWO_PI_I = 2j * math.pi
 
 
-class TestScheme:
-    def test_rejects_unknown_order(self):
-        with pytest.raises(ValueError):
-            FDScheme(order=3)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            FDScheme(h=0.0)
-        with pytest.raises(ValueError):
-            FDScheme(h=-1e-3)
-
-    def test_auto_step_scales_with_point(self):
-        s = FDScheme()
-        assert s.step_for(np.zeros((2, 2))) == pytest.approx(1e-2)
-        assert s.step_for(9.0 * np.eye(2)) == pytest.approx(0.1)
-
-
 class TestSymPartial:
+    """The symmetric derivative, degree 1 of ``exterior_derivative_num``."""
+
     def test_linear_trace_gives_coefficients(self, rng):
         t = rng.uniform(-2, 2, (3, 3))
         t = (t + t.T) / 2
@@ -37,10 +22,8 @@ class TestSymPartial:
         def f(mats):
             return np.sum(t * mats, axis=(1, 2))
 
-        for mu in range(3):
-            for nu in range(3):
-                got = sym_partial(f, y, mu, nu)
-                assert got == pytest.approx(t[mu, nu], rel=1e-9, abs=1e-9)
+        got = exterior_derivative_num(f, y, 1).entries
+        np.testing.assert_allclose(got, t, rtol=1e-9, atol=1e-9)
 
     def test_log_det_gradient(self, rng):
         # d log det Y in the symmetric convention is Y^{-1}
@@ -50,10 +33,7 @@ class TestSymPartial:
         def f(mats):
             return np.log(np.linalg.det(mats))
 
-        scheme = FDScheme(order=4)
-        for mu in range(2):
-            for nu in range(2):
-                assert sym_partial(f, y, mu, nu, scheme) == pytest.approx(inv[mu, nu], rel=1e-7)
+        np.testing.assert_allclose(exterior_derivative_num(f, y, 1).entries, inv, rtol=1e-7)
 
 
 class TestExteriorDerivative:
@@ -78,11 +58,13 @@ class TestExteriorDerivative:
             exterior_derivative_num(lambda m: np.ones(len(m)), np.eye(2), 3)
 
     def test_unstable_step_warns(self):
+        # the jump lies between the outer points of the h and h/2 stencils
+        # (1.02 and 1.01), so only the step h sees it
         def jump(y):
-            return np.where(y[:, 0, 0] > 1.07, 1.0, 0.0)
+            return np.where(y[:, 0, 0] > 1.015, 1.0, 0.0)
 
         with pytest.warns(RuntimeWarning, match="unstable"):
-            exterior_derivative_num(jump, np.array([[1.0]]), 1, FDScheme(h=0.1, order=2))
+            exterior_derivative_num(jump, np.array([[1.0]]), 1)
 
 
 class TestDetDzNumeric:
@@ -94,7 +76,7 @@ class TestDetDzNumeric:
             return np.exp(TWO_PI_I * t * zz[:, 0, 0])
 
         want = TWO_PI_I * t * np.exp(TWO_PI_I * t * z)
-        got = det_dz_numeric(f, np.array([[z]]), FDScheme(h=1e-2, order=4))
+        got = det_dz_numeric(f, np.array([[z]]))
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_exponential_genus_two(self, rng):
@@ -107,21 +89,8 @@ class TestDetDzNumeric:
             return np.exp(TWO_PI_I * np.trace(t @ zz, axis1=1, axis2=2))
 
         want = (TWO_PI_I) ** 2 * np.linalg.det(t) * np.exp(TWO_PI_I * np.trace(t @ z))
-        got = det_dz_numeric(f, z, FDScheme(h=1e-2, order=4))
+        got = det_dz_numeric(f, z)
         assert got == pytest.approx(want, rel=1e-6)
-
-    def test_richardson_toggle_changes_accuracy(self):
-        t = 0.7
-        z = np.array([[0.3 + 1.1j]])
-
-        def f(zz):
-            return np.exp(TWO_PI_I * t * zz[:, 0, 0])
-
-        want = TWO_PI_I * t * np.exp(TWO_PI_I * t * z[0, 0])
-        plain = det_dz_numeric(f, z, FDScheme(h=1e-2, order=2, richardson=False))
-        refined = det_dz_numeric(f, z, FDScheme(h=1e-2, order=2, richardson=True))
-        assert abs(refined - want) < abs(plain - want)
-        assert plain == pytest.approx(want, rel=1e-3)
 
     def test_refuses_large_genus(self):
         with pytest.raises(UnsupportedRegimeError):
@@ -138,11 +107,8 @@ def test_perm_sign():
 # ---------------------------------------------------------------------------
 # the batched stencil trees equal a scalar nested recursion bit for bit
 
-_STENCILS = {
-    2: ((1, 0.5), (-1, -0.5)),
-    4: ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0)),
-}
-_RICHARDSON = {2: (4.0, 3.0), 4: (16.0, 15.0)}
+_STENCIL = ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0))
+_H = 1e-2
 
 
 def _ref_delta(n, mu, nu, dtype=float):
@@ -152,38 +118,34 @@ def _ref_delta(n, mu, nu, dtype=float):
     return delta
 
 
-def _ref_coord_diff(g, base, delta, h, order):
+def _ref_coord_diff(g, base, delta, h):
     acc = None
-    for off, coeff in _STENCILS[order]:
+    for off, coeff in _STENCIL:
         term = coeff * g(base + (off * h) * delta)
         acc = term if acc is None else acc + term
     return acc / h
 
 
-def _ref_extrapolate(scheme, h, evaluate):
-    if not scheme.richardson:
-        return evaluate(h)
-    big = evaluate(h)
-    small = evaluate(0.5 * h)
-    lead, den = _RICHARDSON[scheme.order]
-    return (lead * small - big) / den
+def _ref_extrapolate(evaluate):
+    big = evaluate(_H)
+    small = evaluate(0.5 * _H)
+    return (16.0 * small - big) / 15.0
 
 
-def _ref_nested_diff(f, base, deltas, h, order):
+def _ref_nested_diff(f, base, deltas, h):
     if not deltas:
         return f(base)
     rest = deltas[1:]
-    return _ref_coord_diff(lambda yy: _ref_nested_diff(f, yy, rest, h, order), base, deltas[0], h, order)
+    return _ref_coord_diff(lambda yy: _ref_nested_diff(f, yy, rest, h), base, deltas[0], h)
 
 
-def _ref_sym_partial(f, y, mu, nu, scheme):
+def _ref_sym_partial(f, y, mu, nu):
     delta = _ref_delta(y.shape[0], mu, nu)
     factor = 1.0 if mu == nu else 0.5
-    h = scheme.step_for(y)
-    return factor * _ref_extrapolate(scheme, h, lambda hh: _ref_coord_diff(f, y, delta, hh, scheme.order))
+    return factor * _ref_extrapolate(lambda hh: _ref_coord_diff(f, y, delta, hh))
 
 
-def _ref_exterior_derivative(f, y, q, scheme):
+def _ref_exterior_derivative(f, y, q):
     m = y.shape[0]
     subs = list(itertools.combinations(range(1, m + 1), q))
 
@@ -199,14 +161,14 @@ def _ref_exterior_derivative(f, y, q, scheme):
                         row, col = a[k] - 1, b[perm[k]] - 1
                         deltas.append(_ref_delta(m, row, col))
                         factor *= 1.0 if row == col else 0.5
-                    total += _perm_sign(perm) * factor * _ref_nested_diff(f, y, deltas, hh, scheme.order)
+                    total += _perm_sign(perm) * factor * _ref_nested_diff(f, y, deltas, hh)
                 out[i, j] = total
         return out
 
-    return _ref_extrapolate(scheme, scheme.step_for(y), matrix_at)
+    return _ref_extrapolate(matrix_at)
 
 
-def _ref_det_dz(f, z, scheme):
+def _ref_det_dz(f, z):
     m = z.shape[0]
 
     def dz_nested(zz, pairs, hh):
@@ -218,8 +180,8 @@ def _ref_det_dz(f, z, scheme):
         def g(w):
             return dz_nested(w, rest, hh)
 
-        dx = _ref_coord_diff(g, zz, delta, hh, scheme.order)
-        dy = _ref_coord_diff(g, zz, 1j * delta, hh, scheme.order)
+        dx = _ref_coord_diff(g, zz, delta, hh)
+        dy = _ref_coord_diff(g, zz, 1j * delta, hh)
         factor = 1.0 if mu == nu else 0.5
         return factor * 0.5 * (dx - 1j * dy)
 
@@ -229,31 +191,29 @@ def _ref_det_dz(f, z, scheme):
             total += _perm_sign(perm) * dz_nested(z, [(i, perm[i]) for i in range(m)], hh)
         return total
 
-    return _ref_extrapolate(scheme, scheme.step_for(z), full)
+    return _ref_extrapolate(full)
 
 
 def _batched(scalar_f):
     return lambda stack: np.array([scalar_f(mat) for mat in stack])
 
 
-_SCHEMES = [FDScheme(order=order, richardson=rich) for order in (2, 4) for rich in (False, True)]
-
-
-@pytest.mark.parametrize("scheme", _SCHEMES, ids=lambda s: f"order{s.order}-rich{s.richardson}")
 @pytest.mark.parametrize("m", [1, 2, 3])
 class TestBitwiseAgainstRecursion:
-    def test_sym_partial(self, rng, m, scheme):
+    def test_sym_partial(self, rng, m):
+        # degree 1 of the exterior derivative is the symmetric partial, entry by entry
         y = spd(rng, m)
         t = spd(rng, m, scale=0.3)
 
         def f(mat):
             return np.linalg.det(mat) ** 1.7 * math.exp(np.trace(t @ mat))
 
+        got = exterior_derivative_num(_batched(f), y, 1).entries
         for mu in range(m):
             for nu in range(m):
-                assert sym_partial(_batched(f), y, mu, nu, scheme) == _ref_sym_partial(f, y, mu, nu, scheme)
+                assert got[mu, nu] == _ref_sym_partial(f, y, mu, nu)
 
-    def test_exterior_derivative(self, rng, m, scheme):
+    def test_exterior_derivative(self, rng, m):
         y = spd(rng, m)
         t = spd(rng, m, scale=0.3)
 
@@ -261,12 +221,12 @@ class TestBitwiseAgainstRecursion:
             return np.linalg.det(mat) ** 1.3 * math.exp(np.trace(t @ mat))
 
         for q in range(m + 1):
-            got = exterior_derivative_num(_batched(f), y, q, scheme).entries
-            want = _ref_exterior_derivative(f, y, q, scheme)
+            got = exterior_derivative_num(_batched(f), y, q).entries
+            want = _ref_exterior_derivative(f, y, q)
             assert got.shape == want.shape
             assert (got == want).all()
 
-    def test_det_dz(self, rng, m, scheme):
+    def test_det_dz(self, rng, m):
         t = spd(rng, m, scale=0.4)
         x = rng.uniform(-0.8, 0.8, (m, m))
         z = (x + x.T) / 2 + 1j * (spd(rng, m, scale=0.6) + 0.5 * np.eye(m))
@@ -274,9 +234,9 @@ class TestBitwiseAgainstRecursion:
         def f(mat):
             return np.linalg.det(mat.imag) ** 2.2 * np.exp(TWO_PI_I * np.trace(t @ mat))
 
-        assert det_dz_numeric(_batched(f), z, scheme) == _ref_det_dz(f, z, scheme)
+        assert det_dz_numeric(_batched(f), z) == _ref_det_dz(f, z)
 
 
 def test_scalar_valued_f_is_rejected():
     with pytest.raises(ValueError, match="one value per matrix"):
-        sym_partial(lambda stack: float(np.sum(stack)), np.eye(2), 0, 1)
+        exterior_derivative_num(lambda stack: float(np.sum(stack)), np.eye(2), 1)
