@@ -61,18 +61,26 @@ class TestEstimator:
         assert a.stderr == b.stderr
         assert a.rejected == b.rejected
 
-    @pytest.mark.parametrize("case", ["m2", "m3", "tuple"])
-    def test_thread_count_does_not_change_values(self, case, monkeypatch):
+    def test_thread_count_does_not_change_values(self, monkeypatch):
+        params = MonteCarloParams(samples=40_000, seed=3, chunk_size=4096)
+        t = np.eye(2)
+        monkeypatch.setenv("STURM_THREADS", "1")
+        serial = i_q_numeric(2, 2, 1.5, t, params)
+        monkeypatch.setenv("STURM_THREADS", "4")
+        threaded = i_q_numeric(2, 2, 1.5, t, params)
+        assert_identical(serial, threaded)
+
+    @pytest.mark.parametrize("case", ["m3", "tuple"])
+    def test_thread_count_does_not_change_other_values(self, case, monkeypatch):
         params = MonteCarloParams(samples=40_000, seed=3, chunk_size=4096)
         if case == "tuple":
             # a bundled integrand: a scalar and a matrix component share the draw
             def run():
                 return integrate_invariant(lambda y: (np.exp(-np.trace(y, axis1=1, axis2=2)), y), 3, params)
         else:
-            m = int(case[1:])
 
             def run():
-                return (i_q_numeric(m, m, 1.5, np.eye(m), params),)
+                return (i_q_numeric(3, 3, 1.5, np.eye(3), params),)
 
         monkeypatch.setenv("STURM_THREADS", "1")
         serial = run()
@@ -258,7 +266,9 @@ class TestBundledDraw:
 
 
 # The sampler's column products against einsum: B = L A keeps every bit,
-# and Y = B B^T, summed in another order, stays within its rounding bound.
+# and Y = B B^T, summed in another order, stays within its rounding bound;
+# a chunk's partial sums and the estimates built from them stay within
+# rounding of the same draw formed with einsum.
 
 
 def bartlett_draw(rng, m, count, nu):
@@ -273,6 +283,30 @@ def bartlett_draw(rng, m, count, nu):
 def dense_factor(rng, m):
     """Lower-triangular, positive diagonal, negative off-diagonal entries."""
     return np.diag(rng.uniform(0.5, 1.5, m)) - np.tril(rng.uniform(0.1, 1.0, (m, m)), k=-1)
+
+
+def einsum_chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
+    """``_chunk_partials`` of the same draw, with the products formed by einsum."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+    a = bartlett_draw(rng, m, count, nu)
+    b = np.einsum("ij,njk->nik", chol_scale, a)
+    y = np.einsum("nik,njk->nij", b, b)
+    logdet_y = 2.0 * np.sum(np.log(np.einsum("nii->ni", b)), axis=1)
+    log_q = 0.5 * (nu - m - 1.0) * logdet_y - 0.5 * np.einsum("nij,nij->n", a, a) - log_norm
+    w = np.exp(-0.5 * (m + 1.0) * logdet_y - log_q)
+    out = f(y)
+    bundled = isinstance(out, tuple)
+    components = out if bundled else (out,)
+    return bundled, [
+        cone_integration._component_partials(np.asarray(fx, dtype=float), w, count) for fx in components
+    ]
+
+
+def assert_close(x, x_ref, rtol=1e-12):
+    """Entries agree to ``rtol`` of the largest entry (sums of rounded terms)."""
+    x, x_ref = np.asarray(x, dtype=float), np.asarray(x_ref, dtype=float)
+    assert x.shape == x_ref.shape
+    np.testing.assert_allclose(x, x_ref, rtol=rtol, atol=rtol * np.max(np.abs(x_ref)))
 
 
 class TestColumnProducts:
@@ -290,6 +324,36 @@ class TestColumnProducts:
                 diag = np.einsum("nii->ni", y)
                 bound = 4 * m * np.finfo(float).eps * np.sqrt(diag[:, :, None] * diag[:, None, :])
                 assert np.all(np.abs(y - np.einsum("nik,njk->nij", b_ref, b_ref)) <= bound)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_chunk_partials_equal_einsum_reference(self, m, threads, monkeypatch):
+        monkeypatch.setenv("STURM_THREADS", threads)
+
+        def f(y):
+            return np.linalg.det(y) ** 2.5 * np.exp(-np.trace(y, axis1=1, axis2=2)), y
+
+        rng = np.random.default_rng(300 + m)
+        chol = dense_factor(rng, m)
+        for chunk_index, count in ((0, 2048), (1, 2048), (7, 333)):
+            got = cone_integration._chunk_partials(f, m, m + 4.0, chol, 1.25, 11, chunk_index, count)
+            want = einsum_chunk_partials(f, m, m + 4.0, chol, 1.25, 11, chunk_index, count)
+            assert got[0] == want[0]
+            for got_parts, want_parts in zip(got[1], want[1], strict=True):
+                sums, sums_ref = got_parts[:4], want_parts[:4]
+                assert got_parts[4:] == want_parts[4:]
+                for x, x_ref in zip(sums, sums_ref, strict=True):
+                    assert_close(x, x_ref)
+
+        params = MonteCarloParams(samples=9000, seed=5, chunk_size=1024)
+        scale = chol @ chol.T
+        new = integrate_invariant(f, m, params, scale=scale, nu_default=m + 4.0)
+        monkeypatch.setattr(cone_integration, "_chunk_partials", einsum_chunk_partials)
+        old = integrate_invariant(f, m, params, scale=scale, nu_default=m + 4.0)
+        for est, est_ref in zip(new, old, strict=True):
+            assert_close(est.value, est_ref.value)
+            assert_close(est.stderr, est_ref.stderr, rtol=1e-9)
+            assert (est.samples, est.rejected, est.diverged) == (est_ref.samples, est_ref.rejected, est_ref.diverged)
 
 
 class TestWorkerCount:

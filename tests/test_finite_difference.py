@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sturmverify import UnsupportedRegimeError, det_dz_numeric, exterior_derivative_num
+from sturmverify import finite_difference
 from sturmverify.finite_difference import _perm_sign
 from conftest import spd
 
@@ -105,7 +106,9 @@ def test_perm_sign():
 
 
 # ---------------------------------------------------------------------------
-# the batched stencil trees equal a scalar nested recursion bit for bit
+# the batched stencil trees equal a scalar nested recursion bit for bit,
+# both the values at steps h and h/2 (rich False) and their Richardson
+# combination (rich True)
 
 _STENCIL = ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0))
 _H = 1e-2
@@ -126,10 +129,10 @@ def _ref_coord_diff(g, base, delta, h):
     return acc / h
 
 
-def _ref_extrapolate(evaluate):
+def _ref_extrapolate(evaluate, rich):
     big = evaluate(_H)
     small = evaluate(0.5 * _H)
-    return (16.0 * small - big) / 15.0
+    return (16.0 * small - big) / 15.0 if rich else (big, small)
 
 
 def _ref_nested_diff(f, base, deltas, h):
@@ -139,13 +142,13 @@ def _ref_nested_diff(f, base, deltas, h):
     return _ref_coord_diff(lambda yy: _ref_nested_diff(f, yy, rest, h), base, deltas[0], h)
 
 
-def _ref_sym_partial(f, y, mu, nu):
+def _ref_sym_partial(f, y, mu, nu, rich):
     delta = _ref_delta(y.shape[0], mu, nu)
     factor = 1.0 if mu == nu else 0.5
-    return factor * _ref_extrapolate(lambda hh: _ref_coord_diff(f, y, delta, hh))
+    return _ref_extrapolate(lambda hh: factor * _ref_coord_diff(f, y, delta, hh), rich)
 
 
-def _ref_exterior_derivative(f, y, q):
+def _ref_exterior_derivative(f, y, q, rich):
     m = y.shape[0]
     subs = list(itertools.combinations(range(1, m + 1), q))
 
@@ -165,10 +168,10 @@ def _ref_exterior_derivative(f, y, q):
                 out[i, j] = total
         return out
 
-    return _ref_extrapolate(matrix_at)
+    return _ref_extrapolate(matrix_at, rich)
 
 
-def _ref_det_dz(f, z):
+def _ref_det_dz(f, z, rich):
     m = z.shape[0]
 
     def dz_nested(zz, pairs, hh):
@@ -191,16 +194,36 @@ def _ref_det_dz(f, z):
             total += _perm_sign(perm) * dz_nested(z, [(i, perm[i]) for i in range(m)], hh)
         return total
 
-    return _ref_extrapolate(full)
+    return _ref_extrapolate(full, rich)
 
 
 def _batched(scalar_f):
     return lambda stack: np.array([scalar_f(mat) for mat in stack])
 
 
+@pytest.fixture
+def per_step(monkeypatch):
+    """The (step h, step h/2) values each oracle call hands to ``_extrapolate``."""
+    seen = []
+    extrapolate = finite_difference._extrapolate
+
+    def spy(values):
+        seen.append(tuple(values))
+        return extrapolate(values)
+
+    monkeypatch.setattr(finite_difference, "_extrapolate", spy)
+    return seen
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and bool((got == want).all())
+
+
+@pytest.mark.parametrize("rich", [False, True], ids=lambda rich: f"order4-rich{rich}")
 @pytest.mark.parametrize("m", [1, 2, 3])
 class TestBitwiseAgainstRecursion:
-    def test_sym_partial(self, rng, m):
+    def test_sym_partial(self, rng, m, rich, per_step):
         # degree 1 of the exterior derivative is the symmetric partial, entry by entry
         y = spd(rng, m)
         t = spd(rng, m, scale=0.3)
@@ -209,11 +232,13 @@ class TestBitwiseAgainstRecursion:
             return np.linalg.det(mat) ** 1.7 * math.exp(np.trace(t @ mat))
 
         got = exterior_derivative_num(_batched(f), y, 1).entries
+        if not rich:
+            got = np.asarray(per_step[-1])
         for mu in range(m):
             for nu in range(m):
-                assert got[mu, nu] == _ref_sym_partial(f, y, mu, nu)
+                assert _same_bits(got[..., mu, nu], _ref_sym_partial(f, y, mu, nu, rich))
 
-    def test_exterior_derivative(self, rng, m):
+    def test_exterior_derivative(self, rng, m, rich, per_step):
         y = spd(rng, m)
         t = spd(rng, m, scale=0.3)
 
@@ -222,11 +247,11 @@ class TestBitwiseAgainstRecursion:
 
         for q in range(m + 1):
             got = exterior_derivative_num(_batched(f), y, q).entries
-            want = _ref_exterior_derivative(f, y, q)
-            assert got.shape == want.shape
-            assert (got == want).all()
+            if not rich:
+                got = per_step[-1]
+            assert _same_bits(got, _ref_exterior_derivative(f, y, q, rich))
 
-    def test_det_dz(self, rng, m):
+    def test_det_dz(self, rng, m, rich, per_step):
         t = spd(rng, m, scale=0.4)
         x = rng.uniform(-0.8, 0.8, (m, m))
         z = (x + x.T) / 2 + 1j * (spd(rng, m, scale=0.6) + 0.5 * np.eye(m))
@@ -234,7 +259,10 @@ class TestBitwiseAgainstRecursion:
         def f(mat):
             return np.linalg.det(mat.imag) ** 2.2 * np.exp(TWO_PI_I * np.trace(t @ mat))
 
-        assert det_dz_numeric(_batched(f), z) == _ref_det_dz(f, z)
+        got = det_dz_numeric(_batched(f), z)
+        if not rich:
+            got = per_step[-1]
+        assert _same_bits(got, _ref_det_dz(f, z, rich))
 
 
 def test_scalar_valued_f_is_rejected():
