@@ -197,33 +197,44 @@ def sym_sqrt(mat) -> np.ndarray:
     return (u * np.sqrt(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
-def _esp_table(values: np.ndarray, qmax: int) -> np.ndarray:
-    """Elementary symmetric polynomials e_0..e_qmax over the last axis."""
-    e = np.zeros(values.shape[:-1] + (qmax + 1,))
-    e[..., 0] = 1.0
-    m = values.shape[-1]
-    for i in range(m):
-        hi = min(i + 1, qmax)
-        for k in range(hi, 0, -1):
-            e[..., k] += values[..., i] * e[..., k - 1]
-    return e
-
-
 def sandwich_esp_all(y, t, qmax: int) -> np.ndarray:
-    """e_0..e_qmax of the eigenvalues of Y^{1/2} T Y^{1/2} (the same as
-    those of Y T), stacked along the last axis; Y may be a batch."""
-    root = sym_sqrt(y)
-    s = root @ np.asarray(t, dtype=float) @ root
-    s = 0.5 * (s + np.swapaxes(s, -1, -2))
-    return _esp_table(np.linalg.eigvalsh(s), qmax)
+    """e_0..e_qmax of the eigenvalues of Y T (the same as those of
+    Y^{1/2} T Y^{1/2}), stacked along the last axis; Y may be a batch.
+
+    With T = U diag(d) U^T (one m x m eigh; T may be indefinite or
+    singular) and G = U^T Y U, e_q(YT) = sum_{|S|=q} prod(d_S) det(G_S),
+    the principal minors of G read from its diagonal (q = 1), the 2x2
+    formula (q = 2) or one batched det per degree; for PSD T nothing
+    cancels.  No eigensolver runs on Y, and Y is not checked for
+    definiteness (``sym_sqrt`` is the validating route).
+    """
+    d, u = np.linalg.eigh(np.asarray(t, dtype=float))
+    g = u.T @ np.asarray(y, dtype=float) @ u
+    m = d.shape[0]
+    out = np.empty(g.shape[:-2] + (qmax + 1,))
+    out[..., 0] = 1.0
+    for q in range(1, qmax + 1):
+        index = _subset_index(m, q)
+        weights = np.prod(d[index], axis=1)
+        if q == 1:
+            minors = np.diagonal(g, axis1=-2, axis2=-1)
+        elif q == 2:
+            i, j = index[:, 0], index[:, 1]
+            minors = g[..., i, i] * g[..., j, j] - g[..., i, j] ** 2
+        else:
+            minors = np.linalg.det(g[..., index[:, :, None], index[:, None, :]])
+        # an explicit ascending sum, so a batch equals its rows bitwise
+        out[..., q] = sum(minors[..., c] * w for c, w in enumerate(weights))
+    return out
 
 
 def trace_sandwich(y, t, q: int):
-    """trace((Y^{1/2} T Y^{1/2})^[q]) = e_q of the eigenvalues of Y T.
+    """trace((Y^{1/2} T Y^{1/2})^[q]) = e_q of the eigenvalues of Y T,
+    summed from principal minors by ``sandwich_esp_all``.
 
-    ``y`` must be SPD, a single (m, m) matrix or a batch (n, m, m); ``t``
-    must be symmetric but need not be definite.  Degree q = 0 gives 1 and
-    q = m gives det(Y) det(T).
+    ``y`` must be SPD, a single (m, m) matrix or a batch (n, m, m), but is
+    not validated; ``t`` must be symmetric but need not be definite.
+    Degree q = 0 gives 1 and q = m gives det(Y) det(T).
     """
     m = np.shape(y)[-1]
     if not 0 <= q <= m:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .exterior_algebra import sandwich_esp_all
+from .exterior_algebra import exterior_power, sandwich_esp_all
 from .special_functions import FOUR_PI, c_poch
 
 
@@ -170,11 +170,13 @@ def _det_dz_amplitude(m: int, j, t, y) -> complex:
 
     A comparison that would cancel that factor against its inverse uses
     this instead: the inverse overflows once tr(TY) passes about 113.
+    Its traces are trace(Y^[q] T^[q]) (Cauchy-Binet), independent of the
+    ``sandwich_esp_all`` route that ``maass_coeff_factor`` reads.
     """
-    esp = sandwich_esp_all(y, t, m)
     total = 0.0
     for q in range(m + 1):
-        total += (-FOUR_PI) ** q * float(c_poch(m - q, float(j))) * esp[q]
+        esp = np.sum(exterior_power(y, q).entries * exterior_power(t, q).entries.T)
+        total += (-FOUR_PI) ** q * float(c_poch(m - q, float(j))) * esp
     return (2j) ** (-m) * float(np.linalg.det(y)) ** (j - 1.0) * total
 
 

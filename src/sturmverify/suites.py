@@ -389,9 +389,9 @@ def run_maass(seed: int, quick: bool) -> list:
         y = random_spd(rng, m)
         c1, c2, cc = maass_apply(h1), maass_apply(h2), maass_apply(combined)
         for f in forms:
-            lhs = cc(f, y)
-            rhs = alpha * c1(f, y) + beta * c2(f, y)
-            linear_gaps.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+            part1, part2 = alpha * c1(f, y), beta * c2(f, y)
+            # both sides round the same exact value, each within 3u (|part1| + |part2|)
+            linear_gaps.append(abs(cc(f, y) - (part1 + part2)) / max(abs(part1) + abs(part2), 1e-300))
 
     # degenerate indices are accepted by the closed det-derivative
     degenerate_gaps = []

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sturmverify import (
     sym_sqrt,
     trace_sandwich,
 )
-from sturmverify.exterior_algebra import _esp_table
+from sturmverify.exterior_algebra import sandwich_esp_all
 from conftest import esp_brute, leibniz_det, minor, spd
 
 
@@ -227,14 +228,89 @@ def test_sym_sqrt_rejects_indefinite():
         sym_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_elementary_symmetric_brute_force(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        vals = rng.uniform(-2, 2, n)
-        for q in range(n + 1):
-            assert _esp_table(vals, q)[q] == pytest.approx(
-                esp_brute(vals, q), rel=1e-12, abs=1e-12
-            )
+def _exact_principal_minor_sums(y, t):
+    """e_0..e_m of the eigenvalues of Y T as exact sums of its principal
+    minors, from the exact rational values of the float entries."""
+    m = len(y)
+    yf = [[Fraction(float(x)) for x in row] for row in y]
+    tf = [[Fraction(float(x)) for x in row] for row in t]
+    yt = [[sum(yf[i][k] * tf[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    return [
+        sum(leibniz_det([[yt[i][j] for j in rows] for i in rows]) for rows in itertools.combinations(range(m), q))
+        for q in range(m + 1)
+    ]
+
+
+def _index_kinds(rng, m):
+    """SPD, zero, rank-one all-ones ([[1, 1], [1, 1]] at m = 2) and indefinite T."""
+    q_mat, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    signs = np.where(np.arange(m) % 2, -1.0, 1.0)
+    indefinite = (q_mat * (signs * rng.uniform(0.5, 2.0, m))) @ q_mat.T
+    return {
+        "spd": spd(rng, m),
+        "zero": np.zeros((m, m)),
+        "ones": np.ones((m, m)),
+        "indefinite": 0.5 * (indefinite + indefinite.T),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sandwich_esp_all_matches_exact_principal_minors(rng, m):
+    # The error is relative to e_q(Y |T|), the sum of the absolute values of
+    # the terms prod(d_S) det(G_S); for PSD T that is e_q(YT) itself.  The
+    # zero eigenvalues of a singular T come out of eigh only to within
+    # eps ||T||, so there the scale is at least binom(m, q) (||Y|| ||T||)^q.
+    for kind, t in _index_kinds(rng, m).items():
+        d, u = np.linalg.eigh(t)
+        t_abs = (u * np.abs(d)) @ u.T
+        for _ in range(3):
+            y = spd(rng, m)
+            got = sandwich_esp_all(y, t, m)
+            want = _exact_principal_minor_sums(y, t)
+            terms = _exact_principal_minor_sums(y, t_abs)
+            assert got.shape == (m + 1,)
+            for q in range(m + 1):
+                scale = max(abs(terms[q]), abs(want[q]))
+                if kind in ("zero", "ones"):
+                    norms = float(np.linalg.norm(y, 2) * np.linalg.norm(t, 2))
+                    scale = max(scale, Fraction(math.comb(m, q) * norms**q))
+                err = abs(Fraction(float(got[q])) - want[q])
+                assert err <= Fraction(1, 10**12) * scale, (kind, q, got[q], want[q])
+
+
+def test_sandwich_esp_all_below_full_degree(rng):
+    for m in range(1, 6):
+        ys = np.stack([spd(rng, m) for _ in range(4)])
+        t = spd(rng, m)
+        full = sandwich_esp_all(ys, t, m)
+        for qmax in range(m):
+            part = sandwich_esp_all(ys, t, qmax)
+            assert part.shape == (4, qmax + 1)
+            assert np.array_equal(part.view(np.int64), full[:, : qmax + 1].view(np.int64))
+
+
+def test_sandwich_esp_all_batch_equals_rows_bitwise(rng):
+    for m in range(1, 6):
+        for t in _index_kinds(rng, m).values():
+            ys = np.stack([spd(rng, m) for _ in range(7)])
+            batch = sandwich_esp_all(ys, t, m)
+            rows = np.stack([sandwich_esp_all(y, t, m) for y in ys])
+            assert np.array_equal(batch.view(np.int64), rows.view(np.int64))
+
+
+def test_sandwich_esp_all_runs_no_eigensolver_on_the_batch(rng, monkeypatch):
+    shapes = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def spy(a, *args, _solver=solver, **kwargs):
+            shapes.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    ys = np.stack([spd(rng, 3) for _ in range(5)])
+    sandwich_esp_all(ys, spd(rng, 3), 3)
+    assert shapes == [(3, 3)]
 
 
 def test_trace_sandwich_eigenvalue_oracle(rng):
