@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior_algebra import exterior_power_batch, sandwich_esp_all
+from .exterior_algebra import exterior_power_batch, sandwich_esp_all, spd_det
 from .special_functions import FOUR_PI, c_poch, gamma_m, log_gamma_m
 
 # a doubling counts against convergence when stderr shrinks by less than this
@@ -295,7 +295,7 @@ def i_q_numeric(m: int, q, s, t_mat, params: MonteCarloParams):
 
     def integrand(y):
         esp = sandwich_esp_all(y, t, qmax)
-        dets = np.linalg.det(y)
+        dets = spd_det(y)
         tr = np.einsum("ij,nji->n", t, y)
         power = (det_t * dets) ** sf
         decay = np.exp(-FOUR_PI * tr)
@@ -321,7 +321,7 @@ def q_trace_integral_num(m: int, q, s, params: MonteCarloParams, *, plain: bool 
     sf = float(s)
 
     def integrand(y):
-        dets = np.linalg.det(y)
+        dets = spd_det(y)
         tr = np.trace(y, axis1=1, axis2=2)
         weight = dets ** sf * np.exp(-tr)
         mats = tuple(exterior_power_batch(y, d) * weight[:, None, None] for d in degrees)

@@ -91,13 +91,39 @@ def _subset_index(m: int, q: int) -> np.ndarray:
     return index
 
 
+def spd_det(mats) -> np.ndarray:
+    """Determinants of SPD matrices, (..., m, m) -> (...,): the product of
+    the unpivoted Cholesky pivots of the lower triangle, in elementwise
+    arithmetic with no LAPACK call, so a stack equals its matrices one by
+    one bitwise and pool threads run it in parallel.  ``mats`` must be SPD
+    but is not validated: a non-positive pivot gives NaN, and a Monte Carlo
+    sample is then rejected and counted.  m = 1 gives the entry.
+    """
+    mats = np.asarray(mats, dtype=float)
+    m = mats.shape[-1]
+    low = [[mats[..., i, j] for j in range(i + 1)] for i in range(m)]
+    det = least = low[0][0]
+    for k in range(m):
+        pivot = low[k][k]
+        if k:
+            det = det * pivot
+            least = np.minimum(least, pivot)
+        for i in range(k + 1, m):
+            ratio = low[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                low[i][j] = low[i][j] - ratio * low[j][k]
+    return np.where(least > 0.0, det, np.nan)
+
+
 def _minors(mats, q: int) -> np.ndarray:
     """All q x q minors of a matrix or a stack: (..., m, m) -> C-contiguous (..., C, C).
 
-    Each row subset is one fancy-index gather of its (C, q, q) submatrices
-    per matrix and one batched determinant.  A stack is gathered in blocks
-    of matrices whose submatrices hold at most as many entries as the
-    whole input, so the temporary never outgrows the input.  Both public
+    Degree 0 is [1] and the 1 x 1 minors are the entries.  For q >= 2 each
+    row subset is one fancy-index gather of its (C, q, q) submatrices per
+    matrix and one batched LU determinant (off-diagonal minors are neither
+    symmetric nor real in general).  A stack is gathered in blocks of
+    matrices whose submatrices hold at most as many entries as the whole
+    input, so the temporary never outgrows the input.  Both public
     exterior-power functions call this directly, so a traced run times
     each of them on its own.
     """
@@ -107,6 +133,10 @@ def _minors(mats, q: int) -> np.ndarray:
     m = mats.shape[-1]
     if not 0 <= q <= m:
         raise ValueError(f"exterior degree q={q} out of range 0..{m}")
+    if q == 0:
+        return np.ones(mats.shape[:-2] + (1, 1), dtype=mats.dtype)
+    if q == 1:
+        return mats.copy()
     index = _subset_index(m, q)
     dim = index.shape[0]
     flat = mats.reshape((-1, m, m))
@@ -204,9 +234,11 @@ def sandwich_esp_all(y, t, qmax: int) -> np.ndarray:
     With T = U diag(d) U^T (one m x m eigh; T may be indefinite or
     singular) and G = U^T Y U, e_q(YT) = sum_{|S|=q} prod(d_S) det(G_S),
     the principal minors of G read from its diagonal (q = 1), the 2x2
-    formula (q = 2) or one batched det per degree; for PSD T nothing
-    cancels.  No eigensolver runs on Y, and Y is not checked for
-    definiteness (``sym_sqrt`` is the validating route).
+    formula (q = 2) or ``spd_det`` (G is SPD, U being orthogonal) of the
+    gathered submatrices, or of G itself at q = m; for PSD T nothing
+    cancels.  No eigensolver or LAPACK det runs on Y.  Y must be SPD but is
+    not validated (``sym_sqrt`` is the validating route): a non-positive
+    pivot gives a NaN minor; a Monte Carlo sample is then rejected and counted.
     """
     d, u = np.linalg.eigh(np.asarray(t, dtype=float))
     g = u.T @ np.asarray(y, dtype=float) @ u
@@ -222,7 +254,7 @@ def sandwich_esp_all(y, t, qmax: int) -> np.ndarray:
             i, j = index[:, 0], index[:, 1]
             minors = g[..., i, i] * g[..., j, j] - g[..., i, j] ** 2
         else:
-            minors = np.linalg.det(g[..., index[:, :, None], index[:, None, :]])
+            minors = spd_det(g[..., None, :, :] if q == m else g[..., index[:, :, None], index[:, None, :]])
         # an explicit ascending sum, so a batch equals its rows bitwise
         out[..., q] = sum(minors[..., c] * w for c, w in enumerate(weights))
     return out

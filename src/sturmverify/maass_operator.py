@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .exterior_algebra import exterior_power, sandwich_esp_all
+from .exterior_algebra import exterior_power, sandwich_esp_all, spd_det
 from .special_functions import FOUR_PI, c_poch
 
 
@@ -187,16 +187,16 @@ def maass_coeff_factor(m: int, k: int, form, y):
               trace((Y^{1/2} T Y^{1/2})^[q])
 
     ``y`` may be one SPD matrix (m, m) or a batch (n, m, m); the return is
-    a float or an (n,) array accordingly.
+    a float or an (n,) array accordingly; it must be SPD but is not
+    validated: a non-SPD Y can give a non-positive ``spd_det`` pivot and a
+    NaN factor, and a Monte Carlo sample is then rejected and counted.
     """
     t = form.to_array() if isinstance(form, HalfIntegralForm) else np.asarray(form, dtype=float)
     y = np.asarray(y, dtype=float)
     z0 = Fraction(k) + Fraction(1 - m, 2)
     esp = sandwich_esp_all(y, t, m)
-    total = np.zeros(esp.shape[:-1])
-    for q in range(m + 1):
-        total = total + (-FOUR_PI) ** q * float(c_poch(m - q, z0)) * esp[..., q]
-    out = total / np.linalg.det(y)
+    total = sum((-FOUR_PI) ** q * float(c_poch(m - q, z0)) * esp[..., q] for q in range(m + 1))
+    out = total / spd_det(y)
     return float(out) if out.ndim == 0 else out
 
 

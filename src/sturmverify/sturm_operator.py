@@ -17,6 +17,7 @@ import numpy as np
 
 from .cone_integration import IntegralEstimate, MonteCarloParams, integrate_invariant
 from .errors import UnsupportedRegimeError
+from .exterior_algebra import spd_det
 from .maass_operator import FourierExpansion, HalfIntegralForm
 from .special_functions import FOUR_PI, c_poch, gamma_m, limit_factor, p_m_closed
 
@@ -170,10 +171,8 @@ def sturm_numeric(
     def integrand(y):
         vals = coeff_fn(form, y)
         tr = np.einsum("ij,nji->n", t, y)
-        dets = np.linalg.det(y)
+        dets = spd_det(y)
         return vals * np.exp(-FOUR_PI * tr) * (det_t * dets) ** power
 
     scale = np.linalg.inv(t) / (2.0 * FOUR_PI)
-    return integrate_invariant(
-        integrand, m, params, scale=scale, nu_default=2.0 * (power - 1.0)
-    )
+    return integrate_invariant(integrand, m, params, scale=scale, nu_default=2.0 * (power - 1.0))

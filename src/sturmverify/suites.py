@@ -36,6 +36,7 @@ from .cone_integration import (
 from .exterior_algebra import (
     ExteriorMatrix,
     exterior_power,
+    spd_det,
     sqcap,
     sym_sqrt,
     trace_sandwich,
@@ -570,7 +571,7 @@ def run_cone(m: int, s: float, samples: int, seed: int, nu: float | None = None,
             )
 
     def norm_integrand(y):
-        return np.linalg.det(y) ** float(s) * np.exp(-np.einsum("ij,nji->n", t_norm, y))
+        return spd_det(y) ** float(s) * np.exp(-np.einsum("ij,nji->n", t_norm, y))
 
     est_norm = integrate_invariant(
         norm_integrand, m, params, scale=np.linalg.inv(2.0 * t_norm), nu_default=m + 2.0 * float(s)
@@ -579,12 +580,10 @@ def run_cone(m: int, s: float, samples: int, seed: int, nu: float | None = None,
     # invariance spot check: substituting Y -> g^T Y g leaves the integral alone
     def f_moved(y):
         moved = g.T @ y @ g
-        return np.linalg.det(moved) ** float(s) * np.exp(-np.trace(moved, axis1=1, axis2=2))
+        return spd_det(moved) ** float(s) * np.exp(-np.trace(moved, axis1=1, axis2=2))
 
     moved_scale = np.linalg.solve(2.0 * g @ g.T, np.eye(m))
-    est_moved = integrate_invariant(
-        f_moved, m, params, scale=moved_scale, nu_default=m + 2.0 * float(s)
-    )
+    est_moved = integrate_invariant(f_moved, m, params, scale=moved_scale, nu_default=m + 2.0 * float(s))
     records += [
         _record(
             "cone.full_degree_shift",

@@ -1,18 +1,23 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from sturmverify import (
+    FourierExpansion,
+    HalfIntegralForm,
     MonteCarloParams,
     gamma_m,
     i_q_closed,
     i_q_numeric,
     integrate_invariant,
+    maass_apply,
+    sturm_numeric,
 )
 from sturmverify import cone_integration, suites
 from sturmverify.cone_integration import q_trace_integral_num
-from sturmverify.exterior_algebra import exterior_power_batch, trace_sandwich
+from sturmverify.exterior_algebra import exterior_power_batch, spd_det, trace_sandwich
 
 FOUR_PI = 4 * math.pi
 
@@ -156,7 +161,8 @@ class TestMatrixIntegral:
 
 
 # Lone integrands written out one degree at a time, as the estimators were
-# before degrees shared a draw: the oracle for the bundled passes.
+# before degrees shared a draw: the oracle for the bundled passes.  They
+# mirror the production integrands, so det(Y) is spd_det's.
 
 
 def lone_i_q(m, q, s, t, params):
@@ -164,7 +170,7 @@ def lone_i_q(m, q, s, t, params):
 
     def integrand(y):
         ts = trace_sandwich(y, t, q)
-        dets = np.linalg.det(y)
+        dets = spd_det(y)
         tr = np.einsum("ij,nji->n", t, y)
         return ts * (det_t * dets) ** s * np.exp(-FOUR_PI * tr)
 
@@ -175,7 +181,7 @@ def lone_i_q(m, q, s, t, params):
 def lone_q_trace(m, q, s, params):
     def integrand(y):
         pw = exterior_power_batch(y, q)
-        dets = np.linalg.det(y)
+        dets = spd_det(y)
         tr = np.trace(y, axis1=1, axis2=2)
         return pw * (dets**s * np.exp(-tr))[:, None, None]
 
@@ -184,7 +190,7 @@ def lone_q_trace(m, q, s, params):
 
 def lone_plain(m, s, params):
     def f_plain(y):
-        return np.linalg.det(y) ** s * np.exp(-np.trace(y, axis1=1, axis2=2))
+        return spd_det(y) ** s * np.exp(-np.trace(y, axis1=1, axis2=2))
 
     return integrate_invariant(f_plain, m, params, nu_default=m + 2.0 * s)
 
@@ -263,6 +269,41 @@ class TestBundledDraw:
         monkeypatch.setattr(suites, "i_q_numeric", i_q_lone)
         monkeypatch.setattr(suites, "q_trace_integral_num", q_trace_lone)
         assert suites.run_cone(m=m, s=2.5, samples=4096, seed=3, q_only=q_only) == bundled
+
+
+# Every determinant of a sampled SPD matrix is spd_det's.  LU stays only
+# for the general minors of the exterior powers Y^[q], q >= 2.
+SPY_FORMS = {2: ((2, 1), (1, 2)), 3: ((2, 1, 0), (1, 2, 1), (0, 1, 2))}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_no_lu_det_on_a_sampled_stack(m, monkeypatch):
+    stacks = []
+    lu_det = np.linalg.det
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            frame, callers = sys._getframe(1), []
+            for _ in range(3):
+                callers.append(frame.f_code.co_qualname)
+                frame = frame.f_back
+            stacks.append((np.shape(a), tuple(callers)))
+        return lu_det(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    params = MonteCarloParams(samples=4096, seed=2)
+    form = HalfIntegralForm(SPY_FORMS[m])
+    i_q_numeric(m, range(m + 1), 2.5, form.to_array(), params)
+    coeff = maass_apply(FourierExpansion(m, m - 1, {form: 1.0}))
+    sturm_numeric(m, m + 1, coeff, form, 1.0 if m == 2 else 1.5, params)
+    assert not stacks
+    suites.run_cone(m=m, s=2.5, samples=4096, seed=3)
+    assert stacks
+    for shape, callers in stacks:
+        assert callers[:2] == ("_minors", "exterior_power_batch")
+        assert callers[2].startswith("q_trace_integral_num.<locals>.integrand")
+        n, dim, q, q_cols = shape
+        assert q == q_cols >= 2 and dim == math.comb(m, q)
 
 
 # The sampler's column products against einsum: B = L A keeps every bit,

@@ -17,7 +17,7 @@ from sturmverify import (
     sym_sqrt,
     trace_sandwich,
 )
-from sturmverify.exterior_algebra import sandwich_esp_all
+from sturmverify.exterior_algebra import _subset_index, sandwich_esp_all, spd_det
 from conftest import esp_brute, leibniz_det, minor, spd
 
 
@@ -143,7 +143,12 @@ def test_exterior_power_batch_matches_loop(rng):
 
 
 def _minors_by_entry(mats, q):
-    """Reference minors: one np.linalg.det call per (row subset, column subset)."""
+    """Reference minors: the entries themselves at q = 1, which is exact
+    (a 1 x 1 LU det differs from its entry in the last bit on about 10% of
+    real and 14% of complex uniform inputs), else one np.linalg.det call
+    per (row subset, column subset)."""
+    if q == 1:
+        return mats
     subs = [list(a) for a in itertools.combinations(range(mats.shape[-1]), q)]
     out = np.empty(mats.shape[:-2] + (len(subs), len(subs)), dtype=mats.dtype)
     for i, rows in enumerate(subs):
@@ -165,6 +170,17 @@ def test_minors_bitwise_equal_per_entry_determinants(rng, m, complex_entries):
         assert (batch == _minors_by_entry(mats, q)).all()
         for mat in mats:
             assert (exterior_power(mat, q).entries == _minors_by_entry(mat, q)).all()
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_minors_degree_one_are_the_entries(rng, complex_entries):
+    mats = rng.uniform(-1.5, 1.5, (6, 4, 4))
+    if complex_entries:
+        mats = mats + 1j * rng.uniform(-1.5, 1.5, (6, 4, 4))
+    out = exterior_power_batch(mats, 1)
+    assert out is not mats and out.flags.c_contiguous
+    assert np.array_equal(out.view(np.int64), mats.view(np.int64))
+    assert np.array_equal(exterior_power(mats[0], 1).entries.view(np.int64), mats[0].view(np.int64))
 
 
 def test_batch_gather_temporary_stays_within_input_size(rng):
@@ -226,6 +242,59 @@ def test_sym_sqrt_squares_back(rng):
 def test_sym_sqrt_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         sym_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def _bartlett_draws(rng, m, nu, count):
+    """Y = A A^T for lower-triangular Bartlett factors A of Wishart(nu, E),
+    symmetric bit for bit (the lower triangle is mirrored)."""
+    a = np.tril(rng.standard_normal((count, m, m)), k=-1)
+    diag = np.arange(m)
+    a[:, diag, diag] = np.sqrt(rng.chisquare(nu - diag, size=(count, m)))
+    y = np.tril(a @ np.swapaxes(a, 1, 2))
+    return y + np.swapaxes(np.tril(y, k=-1), 1, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_spd_det_within_cholesky_bound_of_exact(rng, m):
+    # against the exact determinant of the same floats
+    for nu in range(max(3, m), 9):
+        ys = _bartlett_draws(rng, m, nu, 6)
+        for y, got in zip(ys, spd_det(ys)):
+            exact = leibniz_det([[Fraction(float(x)) for x in row] for row in y])
+            bound = Fraction(m * np.finfo(float).eps * np.linalg.cond(y)) * exact
+            assert abs(Fraction(float(got)) - exact) <= bound, (nu, y)
+
+
+def test_spd_det_genus_one_is_the_entry(rng):
+    ys = rng.uniform(1e-3, 1e3, (50, 1, 1))
+    assert np.array_equal(spd_det(ys).view(np.int64), ys[:, 0, 0].view(np.int64))
+
+
+def test_spd_det_batch_equals_rows_bitwise(rng):
+    for m in range(1, 6):
+        ys = np.stack([spd(rng, m) for _ in range(9)])
+        rows = np.array([spd_det(y) for y in ys])
+        assert np.array_equal(spd_det(ys).view(np.int64), rows.view(np.int64))
+
+
+def test_spd_det_leading_shapes(rng):
+    ys = np.stack([spd(rng, 4) for _ in range(5)])
+    assert spd_det(ys[0]).shape == ()
+    assert spd_det(ys).shape == (5,)
+    index = _subset_index(4, 3)
+    gathered = ys[:, index[:, :, None], index[:, None, :]]
+    minors = spd_det(gathered)
+    assert minors.shape == (5, 4)
+    for n in range(5):
+        for c, rows in enumerate(index):
+            assert minors[n, c] == spd_det(ys[n][np.ix_(rows, rows)])
+    np.testing.assert_allclose(minors, np.linalg.det(gathered), rtol=1e-12)
+
+
+def test_spd_det_non_positive_pivot_is_nan():
+    # LU gives +1 and -3 here; neither matrix is positive definite
+    assert np.isnan(spd_det(-np.eye(2)))
+    assert np.isnan(spd_det(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
 
 def _exact_principal_minor_sums(y, t):
