@@ -4,13 +4,16 @@ forms of the exterior-trace integrals it cross-checks.
 
 Sampling strategy
 -----------------
-The proposal is a Wishart(nu, V) distribution built by the Bartlett
-construction: Y = (L A)(L A)^T with V = L L^T, A lower triangular,
-A_ii^2 ~ chi^2(nu - i) (0-based i) and standard normal subdiagonal.  The
-importance weight is the invariant-measure density divided by the Wishart
-density, with det powers and tr(V^{-1} Y) read off the Cholesky factors
-(log det Y = log det V + 2 sum log A_ii, tr(V^{-1} Y) = sum A_ij^2).
-L A and Y are formed from (n,) column products over the triangles (see
+Every integral has the form  int f(Y) det(Y)^p exp(-tr(tY)) dY_inv  for an
+SPD matrix t and a power p, and ``integrate_invariant`` owns that gamma
+factor.  The proposal is a Wishart(nu, V) distribution with V = (2t)^{-1},
+built by the Bartlett construction: Y = (L A)(L A)^T with V = L L^T, A
+lower triangular, A_ii^2 ~ chi^2(nu - i) (0-based i) and standard normal
+subdiagonal.  The importance weight times the gamma factor is then
+exp((p - nu/2) log det Y + log_norm): the trace cancels exactly, and
+log det Y = log det V + 2 sum log A_ii comes from the Bartlett diagonal.
+The integrand ``f`` supplies only the remaining polynomial part.  L A and
+Y are formed from (n,) column products over the triangles (see
 ``_bartlett_products``).
 
 Reproducibility: samples are drawn in fixed-size chunks, chunk c from the
@@ -20,18 +23,19 @@ are combined pairwise in chunk order.  The estimate therefore depends on
 environment variable STURM_THREADS (an integer >= 1) merely caps for
 speed.
 
-Diagnostics: samples with non-finite weight or integrand are rejected and
-counted; the estimate is flagged ``diverged`` unless the standard error
-shrinks roughly like 1/sqrt(N) across three sample doublings.
+Diagnostics: a sample is rejected and counted when its weighted gamma
+factor underflows to 0 or is not finite, or when the integrand is not
+finite there.  Rejected samples still count in the sample size.  The
+effective sample size is that of the raw importance weights.
 
 Bundled integrands: an integrand may return a tuple of components that
-share one draw (the samples, the importance weights and Y are computed
-once per chunk).  Each component is then reduced exactly as it would be
-alone: its own finite mask and ``rejected`` count, its own pairwise chunk
-sums and effective sample size, and its own ``diverged`` gate.  A sample
-that one component rejects still counts in the others.  Each component's
-estimate is therefore bitwise the one a lone integral of that component,
-with the same seed, scale, nu and budget, would give.
+share one draw (the samples, the weights and Y are computed once per
+chunk).  Each component is then reduced exactly as it would be alone: its
+own finite mask and ``rejected`` count, its own pairwise chunk sums and
+effective sample size.  A sample that one component rejects still counts
+in the others.  Each component's estimate is therefore bitwise the one a
+lone integral of that component, with the same seed, t, power, nu and
+budget, would give.
 """
 
 from __future__ import annotations
@@ -43,11 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior_algebra import exterior_power_batch, sandwich_esp_all, spd_det
+from .exterior_algebra import exterior_power_batch, sandwich_esp_all
 from .special_functions import FOUR_PI, c_poch, gamma_m, log_gamma_m
-
-# a doubling counts against convergence when stderr shrinks by less than this
-_DOUBLING_FACTOR = 0.95
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ class IntegralEstimate:
     samples: int
     effective_samples: float
     rejected: int = 0
-    diverged: bool = False
 
 
 def worker_count() -> int:
@@ -112,7 +112,7 @@ def _bartlett_products(chol, a):
     return b, y
 
 
-def _chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
+def _chunk_partials(f, m, nu, power, chol_scale, log_norm, seed, chunk_index, count):
     """(bundled, per-component partial sums) of one chunk's shared draw."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     a = np.zeros((count, m, m))
@@ -126,17 +126,21 @@ def _chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
     logdet_y = 2.0 * np.sum(np.log(diag), axis=1)
     tr_viy = np.einsum("nij,nij->n", a, a)
     log_q = 0.5 * (nu - m - 1.0) * logdet_y - 0.5 * tr_viy - log_norm
-    log_w = -0.5 * (m + 1.0) * logdet_y - log_q
-    w = np.exp(log_w)
+    w = np.exp(-0.5 * (m + 1.0) * logdet_y - log_q)
+    # w det(Y)^power exp(-tr(tY)), with tr(tY) = tr_viy / 2 cancelled exactly
+    weight = np.exp((power - 0.5 * nu) * logdet_y + log_norm)
     out = f(y)
     bundled = isinstance(out, tuple)
     components = out if bundled else (out,)
-    return bundled, [_component_partials(np.asarray(fx, dtype=float), w, count) for fx in components]
+    return bundled, [_component_partials(np.asarray(fx, dtype=float), weight, w, count) for fx in components]
 
 
-def _component_partials(fx, w, count):
-    x = fx * (w if fx.ndim == 1 else w[:, None, None])
-    finite = np.isfinite(w)
+def _component_partials(fx, weight, w, count):
+    """Partial sums of ``fx * weight``; ``w``, the raw importance weight,
+    only feeds the effective sample size."""
+    x = fx * (weight if fx.ndim == 1 else weight[:, None, None])
+    # a weight that underflowed to 0 says nothing about fx there
+    finite = np.isfinite(w) & np.isfinite(weight) & (weight > 0.0)
     finite &= np.isfinite(x) if x.ndim == 1 else np.isfinite(x).all(axis=(1, 2))
     rejected = int(count - np.count_nonzero(finite))
     if rejected:
@@ -162,28 +166,6 @@ def _pairwise_sum(items):
     return tuple(l + r for l, r in zip(left, right))
 
 
-def _prefix_stderr(partials, upto):
-    sum_x, sum_x2, _, _, n, _ = _pairwise_sum(partials[:upto])
-    mean = sum_x / n
-    var = np.maximum(sum_x2 / n - mean * mean, 0.0)
-    return float(np.max(np.atleast_1d(np.sqrt(var / n))))
-
-
-def _diverged(partials) -> bool:
-    """True when stderr fails to shrink ~1/sqrt(N) over three doublings."""
-    k = len(partials)
-    if k < 8:
-        return False
-    marks = [k // 8, k // 4, k // 2, k]
-    errs = [_prefix_stderr(partials, u) for u in marks]
-    bad = 0
-    for lo, hi in zip(errs, errs[1:]):
-        if lo > 0.0 and hi >= _DOUBLING_FACTOR * lo:
-            bad += 1
-    final_stalled = errs[-2] > 0.0 and errs[-1] >= errs[-2]
-    return bad >= 2 or final_stalled
-
-
 def _estimate(partials) -> IntegralEstimate:
     """Combine one component's per-chunk partial sums, in chunk order."""
     sum_x, sum_x2, sum_w, sum_w2, n_total, n_rej = _pairwise_sum(partials)
@@ -197,32 +179,29 @@ def _estimate(partials) -> IntegralEstimate:
         samples=int(n_total),
         effective_samples=float(ess),
         rejected=int(n_rej),
-        diverged=_diverged(partials),
     )
 
 
 def integrate_invariant(
-    f, m: int, params: MonteCarloParams, *, scale=None, nu_default=None
+    f, m: int, params: MonteCarloParams, *, t, power, nu_default=None
 ) -> IntegralEstimate | tuple:
-    """Estimate the invariant-measure integral of ``f`` over SPD matrices.
+    """Estimate  int f(Y) det(Y)^power exp(-tr(tY)) dY_inv  over SPD matrices.
 
-    ``f`` receives a batch (n, m, m) of SPD samples and must return (n,)
-    scalars or (n, d, d) matrices, or a tuple of such components that share
-    the draw.  A plain array gives one ``IntegralEstimate``; a tuple gives a
-    tuple of estimates, one per component, each reduced on its own: a
-    sample whose weight or component value is non-finite is masked and
+    ``t`` is an SPD (m, m) matrix.  ``f`` receives a batch (n, m, m) of SPD
+    samples and returns only the remaining factor: (n,) scalars or
+    (n, d, d) matrices, or a tuple of such components that share the draw.
+    A plain array gives one ``IntegralEstimate``; a tuple gives a tuple of
+    estimates, one per component, each reduced on its own: a sample whose
+    weighted gamma factor or component value is unusable is masked and
     counted in that component's ``rejected`` only, and each component has
-    its own effective sample size and ``diverged`` gate.  The proposal
-    scale ``V`` defaults to E/2, matched to exp(-trace Y) targets; callers
-    with a different exponential factor pass their own.  Degrees of
-    freedom: ``params.nu`` overrides ``nu_default`` overrides m + 1, and
-    must exceed m - 1.
+    its own effective sample size.  The proposal is Wishart(nu, (2t)^{-1}).
+    Degrees of freedom: ``params.nu`` overrides ``nu_default`` overrides
+    m + 2 power, and must exceed m - 1.
     """
-    nu = params.nu if params.nu is not None else (nu_default if nu_default is not None else m + 1.0)
+    nu = params.nu if params.nu is not None else (nu_default if nu_default is not None else m + 2.0 * power)
     if nu <= m - 1:
         raise ValueError(f"proposal degrees of freedom nu={nu} must exceed m-1={m - 1}")
-    scale_mat = np.asarray(scale, dtype=float) if scale is not None else 0.5 * np.eye(m)
-    chol = np.linalg.cholesky(scale_mat)
+    chol = np.linalg.cholesky(np.linalg.inv(2.0 * np.asarray(t, dtype=float)))
     logdet_scale = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_norm = (
         0.5 * nu * m * math.log(2.0) + 0.5 * nu * logdet_scale + log_gamma_m(m, 0.5 * nu)[0]
@@ -239,7 +218,7 @@ def integrate_invariant(
 
     def run(job):
         chunk_index, count = job
-        return _chunk_partials(f, m, nu, chol, log_norm, params.seed, chunk_index, count)
+        return _chunk_partials(f, m, nu, power, chol, log_norm, params.seed, chunk_index, count)
 
     workers = worker_count()
     if workers == 1 or len(chunks) == 1:
@@ -289,20 +268,15 @@ def i_q_numeric(m: int, q, s, t_mat, params: MonteCarloParams):
     """
     degrees = _degrees(m, q)
     t = np.asarray(t_mat, dtype=float)
-    det_t = float(np.linalg.det(t))
     sf = float(s)
+    det_t_s = float(np.linalg.det(t)) ** sf
     qmax = max(degrees)
 
     def integrand(y):
         esp = sandwich_esp_all(y, t, qmax)
-        dets = spd_det(y)
-        tr = np.einsum("ij,nji->n", t, y)
-        power = (det_t * dets) ** sf
-        decay = np.exp(-FOUR_PI * tr)
-        return tuple(esp[:, d] * power * decay for d in degrees)
+        return tuple(esp[:, d] * det_t_s for d in degrees)
 
-    scale = np.linalg.inv(t) / (2.0 * FOUR_PI)
-    estimates = integrate_invariant(integrand, m, params, scale=scale, nu_default=m + 2.0 * sf)
+    estimates = integrate_invariant(integrand, m, params, t=FOUR_PI * t, power=sf)
     return estimates if np.ndim(q) else estimates[0]
 
 
@@ -318,14 +292,10 @@ def q_trace_integral_num(m: int, q, s, params: MonteCarloParams, *, plain: bool 
     then gives a pair.
     """
     degrees = _degrees(m, q)
-    sf = float(s)
 
     def integrand(y):
-        dets = spd_det(y)
-        tr = np.trace(y, axis1=1, axis2=2)
-        weight = dets ** sf * np.exp(-tr)
-        mats = tuple(exterior_power_batch(y, d) * weight[:, None, None] for d in degrees)
-        return mats + (weight,) if plain else mats
+        mats = tuple(exterior_power_batch(y, d) for d in degrees)
+        return mats + (np.ones(len(y)),) if plain else mats
 
-    estimates = integrate_invariant(integrand, m, params, scale=0.5 * np.eye(m), nu_default=m + 2.0 * sf)
+    estimates = integrate_invariant(integrand, m, params, t=np.eye(m), power=s)
     return estimates if np.ndim(q) or plain else estimates[0]

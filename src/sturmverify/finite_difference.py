@@ -10,7 +10,7 @@ realized numerically by perturbing the (mu, nu) and (nu, mu) entries
 together (one symmetric coordinate) and applying the half factor
 analytically, so e.g. the derivative of tr(TY) is exactly T.
 
-The scheme is fixed: the fourth-order central stencil at steps h = 1e-2
+The scheme is fixed: the fourth-order central stencil at steps h = 5e-3
 and h/2, combined by Richardson extrapolation (16 f_{h/2} - f_h) / 15.
 
 The function under differentiation takes a batch: it maps a stack
@@ -31,8 +31,8 @@ from .exterior_algebra import ExteriorMatrix, q_subsets
 
 # fourth-order central stencil: (offset, weight) pairs
 _STENCIL = ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0))
-# steps h = 1e-2 and h/2, whose values ``_extrapolate`` combines
-_STEPS = (1e-2, 0.5 * 1e-2)
+# steps h = 5e-3 and h/2, whose values ``_extrapolate`` combines
+_STEPS = (5e-3, 0.5 * 5e-3)
 
 
 def _perm_sign(perm) -> int:

@@ -13,11 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cone_integration import IntegralEstimate, MonteCarloParams, integrate_invariant
 from .errors import UnsupportedRegimeError
-from .exterior_algebra import spd_det
 from .maass_operator import FourierExpansion, HalfIntegralForm
 from .special_functions import FOUR_PI, c_poch, gamma_m, limit_factor, p_m_closed
 
@@ -159,20 +156,18 @@ def sturm_numeric(
     (n, m, m) and return (n,) values (``maass_apply`` products and constant
     functions both qualify).
 
-    The default proposal matches the exponential exactly and the most
-    boundary-singular det power of a weight-raised integrand
-    (nu = 2 (kappa - (m+1)/2 + s - 1)); override via ``params.nu`` when
-    integrating something shaped differently.
+    ``integrate_invariant`` supplies the exponential and det(Y) power; the
+    integrand is ``coeff_fn`` times det(T)^power.  The default proposal
+    matches the most boundary-singular det power of a weight-raised
+    integrand (nu = 2 (kappa - (m+1)/2 + s - 1)); override via
+    ``params.nu`` when integrating something shaped differently.
     """
-    t = form.to_array()
-    det_t = float(form.det)
     power = kappa - 0.5 * (m + 1) + float(s)
+    det_t_power = float(form.det) ** power
 
     def integrand(y):
-        vals = coeff_fn(form, y)
-        tr = np.einsum("ij,nji->n", t, y)
-        dets = spd_det(y)
-        return vals * np.exp(-FOUR_PI * tr) * (det_t * dets) ** power
+        return coeff_fn(form, y) * det_t_power
 
-    scale = np.linalg.inv(t) / (2.0 * FOUR_PI)
-    return integrate_invariant(integrand, m, params, scale=scale, nu_default=2.0 * (power - 1.0))
+    return integrate_invariant(
+        integrand, m, params, t=FOUR_PI * form.to_array(), power=power, nu_default=2.0 * (power - 1.0)
+    )

@@ -17,7 +17,8 @@ from sturmverify import (
 )
 from sturmverify import cone_integration, suites
 from sturmverify.cone_integration import q_trace_integral_num
-from sturmverify.exterior_algebra import exterior_power_batch, spd_det, trace_sandwich
+from sturmverify.exterior_algebra import exterior_power_batch, trace_sandwich
+from conftest import spd
 
 FOUR_PI = 4 * math.pi
 
@@ -81,7 +82,7 @@ class TestEstimator:
         if case == "tuple":
             # a bundled integrand: a scalar and a matrix component share the draw
             def run():
-                return integrate_invariant(lambda y: (np.exp(-np.trace(y, axis1=1, axis2=2)), y), 3, params)
+                return integrate_invariant(lambda y: (np.ones(len(y)), y), 3, params, t=np.eye(3), power=0.5)
         else:
 
             def run():
@@ -100,7 +101,6 @@ class TestEstimator:
         for q in (0, 1, 2):
             est = i_q_numeric(2, q, 2.5, t, params)
             want = i_q_closed(2, q, 2.5)
-            assert not est.diverged
             assert abs(est.value - want) <= 4 * est.stderr + 1e-12 * abs(want)
 
     def test_index_matrix_invariance(self):
@@ -117,26 +117,24 @@ class TestEstimator:
             out[y[:, 0, 0] > 1.5] = np.nan
             return out
 
-        est = integrate_invariant(spotty, 1, MonteCarloParams(samples=4096, seed=5))
+        est = integrate_invariant(spotty, 1, MonteCarloParams(samples=4096, seed=5), t=np.eye(1), power=1.0)
         assert est.rejected > 0
         assert est.samples == 4096
         assert np.isfinite(est.value)
 
-    def test_divergence_gate_trips(self):
-        # exp(0.9 tr Y) is not integrable against the invariant measure;
-        # the stderr-doubling monitor must flag the estimate
-        def bad(y):
-            return np.exp(0.9 * np.trace(y, axis1=1, axis2=2))
-
-        est = integrate_invariant(bad, 1, MonteCarloParams(samples=16_384, seed=0, chunk_size=256))
-        assert est.diverged
-
-    def test_healthy_integral_not_flagged(self):
-        def one(y):
-            return np.exp(-np.trace(y, axis1=1, axis2=2)) * np.linalg.det(y) ** 2
-
-        est = integrate_invariant(one, 2, MonteCarloParams(samples=16_384, seed=0, chunk_size=256))
-        assert not est.diverged
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_twin_point_is_exact(self, m):
+        # at nu = 2 power the weighted gamma factor is the constant
+        # det(t)^{-power} Gamma_m(power), so the plain integral has no
+        # sampling error left, only rounding
+        rng = np.random.default_rng(40 + m)
+        t = spd(rng, m)
+        s = m / 2 + 0.75
+        params = MonteCarloParams(samples=64, seed=3, nu=2 * s)
+        est = integrate_invariant(lambda y: np.ones(len(y)), m, params, t=t, power=s)
+        want = float(np.linalg.det(t)) ** -s * gamma_m(m, s)
+        assert est.value == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert est.rejected == 0
 
 
 class TestMatrixIntegral:
@@ -161,38 +159,26 @@ class TestMatrixIntegral:
 
 
 # Lone integrands written out one degree at a time, as the estimators were
-# before degrees shared a draw: the oracle for the bundled passes.  They
-# mirror the production integrands, so det(Y) is spd_det's.
+# before degrees shared a draw: the oracle for the bundled passes.  Each
+# returns only its polynomial part; integrate_invariant supplies the
+# exponential and the det(Y) power.
 
 
 def lone_i_q(m, q, s, t, params):
-    det_t = float(np.linalg.det(t))
+    det_t_s = float(np.linalg.det(t)) ** s
 
     def integrand(y):
-        ts = trace_sandwich(y, t, q)
-        dets = spd_det(y)
-        tr = np.einsum("ij,nji->n", t, y)
-        return ts * (det_t * dets) ** s * np.exp(-FOUR_PI * tr)
+        return trace_sandwich(y, t, q) * det_t_s
 
-    scale = np.linalg.inv(t) / (2.0 * FOUR_PI)
-    return integrate_invariant(integrand, m, params, scale=scale, nu_default=m + 2.0 * s)
+    return integrate_invariant(integrand, m, params, t=FOUR_PI * t, power=s)
 
 
 def lone_q_trace(m, q, s, params):
-    def integrand(y):
-        pw = exterior_power_batch(y, q)
-        dets = spd_det(y)
-        tr = np.trace(y, axis1=1, axis2=2)
-        return pw * (dets**s * np.exp(-tr))[:, None, None]
-
-    return integrate_invariant(integrand, m, params, scale=0.5 * np.eye(m), nu_default=m + 2.0 * s)
+    return integrate_invariant(lambda y: exterior_power_batch(y, q), m, params, t=np.eye(m), power=s)
 
 
 def lone_plain(m, s, params):
-    def f_plain(y):
-        return spd_det(y) ** s * np.exp(-np.trace(y, axis1=1, axis2=2))
-
-    return integrate_invariant(f_plain, m, params, nu_default=m + 2.0 * s)
+    return integrate_invariant(lambda y: np.ones(len(y)), m, params, t=np.eye(m), power=s)
 
 
 def assert_identical(a, b):
@@ -202,11 +188,10 @@ def assert_identical(a, b):
     assert a.samples == b.samples
     assert a.effective_samples == b.effective_samples
     assert a.rejected == b.rejected
-    assert a.diverged == b.diverged
 
 
 class TestBundledDraw:
-    # ten chunks, so the divergence gate runs on every component
+    # ten chunks, so every component is summed pairwise across chunks
     PARAMS = MonteCarloParams(samples=20_000, seed=17, chunk_size=2048)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -234,19 +219,20 @@ class TestBundledDraw:
 
     def test_components_reject_on_their_own(self):
         def clean(y):
-            return np.exp(-np.trace(y, axis1=1, axis2=2)) * np.linalg.det(y) ** 2
+            return np.trace(y, axis1=1, axis2=2)
 
         def spotty(y):
             out = clean(y)
             out[y[:, 0, 0] > 1.5] = np.nan
             return out
 
-        est_clean, est_spotty = integrate_invariant(lambda y: (clean(y), spotty(y)), 2, self.PARAMS)
+        factor = {"t": np.eye(2), "power": 2.0}
+        est_clean, est_spotty = integrate_invariant(lambda y: (clean(y), spotty(y)), 2, self.PARAMS, **factor)
         assert est_clean.rejected == 0
         assert est_spotty.rejected > 0
         assert est_spotty.samples == est_clean.samples == self.PARAMS.samples
-        assert_identical(est_clean, integrate_invariant(clean, 2, self.PARAMS))
-        assert_identical(est_spotty, integrate_invariant(spotty, 2, self.PARAMS))
+        assert_identical(est_clean, integrate_invariant(clean, 2, self.PARAMS, **factor))
+        assert_identical(est_spotty, integrate_invariant(spotty, 2, self.PARAMS, **factor))
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
@@ -326,7 +312,7 @@ def dense_factor(rng, m):
     return np.diag(rng.uniform(0.5, 1.5, m)) - np.tril(rng.uniform(0.1, 1.0, (m, m)), k=-1)
 
 
-def einsum_chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, count):
+def einsum_chunk_partials(f, m, nu, power, chol_scale, log_norm, seed, chunk_index, count):
     """``_chunk_partials`` of the same draw, with the products formed by einsum."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     a = bartlett_draw(rng, m, count, nu)
@@ -335,11 +321,12 @@ def einsum_chunk_partials(f, m, nu, chol_scale, log_norm, seed, chunk_index, cou
     logdet_y = 2.0 * np.sum(np.log(np.einsum("nii->ni", b)), axis=1)
     log_q = 0.5 * (nu - m - 1.0) * logdet_y - 0.5 * np.einsum("nij,nij->n", a, a) - log_norm
     w = np.exp(-0.5 * (m + 1.0) * logdet_y - log_q)
+    weight = np.exp((power - 0.5 * nu) * logdet_y + log_norm)
     out = f(y)
     bundled = isinstance(out, tuple)
     components = out if bundled else (out,)
     return bundled, [
-        cone_integration._component_partials(np.asarray(fx, dtype=float), w, count) for fx in components
+        cone_integration._component_partials(np.asarray(fx, dtype=float), weight, w, count) for fx in components
     ]
 
 
@@ -372,13 +359,13 @@ class TestColumnProducts:
         monkeypatch.setenv("STURM_THREADS", threads)
 
         def f(y):
-            return np.linalg.det(y) ** 2.5 * np.exp(-np.trace(y, axis1=1, axis2=2)), y
+            return np.trace(y, axis1=1, axis2=2), y
 
         rng = np.random.default_rng(300 + m)
         chol = dense_factor(rng, m)
         for chunk_index, count in ((0, 2048), (1, 2048), (7, 333)):
-            got = cone_integration._chunk_partials(f, m, m + 4.0, chol, 1.25, 11, chunk_index, count)
-            want = einsum_chunk_partials(f, m, m + 4.0, chol, 1.25, 11, chunk_index, count)
+            got = cone_integration._chunk_partials(f, m, m + 4.0, 2.5, chol, 1.25, 11, chunk_index, count)
+            want = einsum_chunk_partials(f, m, m + 4.0, 2.5, chol, 1.25, 11, chunk_index, count)
             assert got[0] == want[0]
             for got_parts, want_parts in zip(got[1], want[1], strict=True):
                 sums, sums_ref = got_parts[:4], want_parts[:4]
@@ -386,15 +373,15 @@ class TestColumnProducts:
                 for x, x_ref in zip(sums, sums_ref, strict=True):
                     assert_close(x, x_ref)
 
-        params = MonteCarloParams(samples=9000, seed=5, chunk_size=1024)
-        scale = chol @ chol.T
-        new = integrate_invariant(f, m, params, scale=scale, nu_default=m + 4.0)
+        params = MonteCarloParams(samples=9000, seed=5, nu=m + 4.0, chunk_size=1024)
+        t = chol @ chol.T
+        new = integrate_invariant(f, m, params, t=t, power=2.5)
         monkeypatch.setattr(cone_integration, "_chunk_partials", einsum_chunk_partials)
-        old = integrate_invariant(f, m, params, scale=scale, nu_default=m + 4.0)
+        old = integrate_invariant(f, m, params, t=t, power=2.5)
         for est, est_ref in zip(new, old, strict=True):
             assert_close(est.value, est_ref.value)
             assert_close(est.stderr, est_ref.stderr, rtol=1e-9)
-            assert (est.samples, est.rejected, est.diverged) == (est_ref.samples, est_ref.rejected, est_ref.diverged)
+            assert (est.samples, est.rejected) == (est_ref.samples, est_ref.rejected)
 
 
 class TestWorkerCount:

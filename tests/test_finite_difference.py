@@ -6,7 +6,7 @@ import pytest
 
 from sturmverify import UnsupportedRegimeError, det_dz_numeric, exterior_derivative_num
 from sturmverify import finite_difference
-from sturmverify.finite_difference import _perm_sign
+from sturmverify.finite_difference import _STEPS, _perm_sign
 from conftest import spd
 
 TWO_PI_I = 2j * math.pi
@@ -60,9 +60,9 @@ class TestExteriorDerivative:
 
     def test_unstable_step_warns(self):
         # the jump lies between the outer points of the h and h/2 stencils
-        # (1.02 and 1.01), so only the step h sees it
+        # (1.01 and 1.005), so only the step h sees it
         def jump(y):
-            return np.where(y[:, 0, 0] > 1.015, 1.0, 0.0)
+            return np.where(y[:, 0, 0] > 1.0075, 1.0, 0.0)
 
         with pytest.warns(RuntimeWarning, match="unstable"):
             exterior_derivative_num(jump, np.array([[1.0]]), 1)
@@ -111,7 +111,7 @@ def test_perm_sign():
 # combination (rich True)
 
 _STENCIL = ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0))
-_H = 1e-2
+_H = _STEPS[0]
 
 
 def _ref_delta(n, mu, nu, dtype=float):

@@ -167,7 +167,6 @@ class TestNumericSmoke:
 
         est = sturm_numeric(1, 3, coeff, form, 1.0, MonteCarloParams(samples=20_000, seed=123))
         closed = a_closed(1, 1, 1.0, form, b_t)
-        assert not est.diverged
         assert abs(est.value - closed) <= 5 * est.stderr + 1e-12 * abs(closed)
 
     def test_rejects_boundary_heavy_proposal(self):

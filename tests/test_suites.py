@@ -206,7 +206,6 @@ QUICK_INVENTORY = [
         "abs",
         0.1414213562373095,
     ),
-    ("cone.no_divergence_flags", "no estimate tripped the stderr-scaling divergence gate", "abs", 0.0),
     (
         "sturm.phantom_chain",
         "analytic s->0 limit of the normalized coefficient equals -(4 pi)^m det(T) b(T), genus 2..3",
