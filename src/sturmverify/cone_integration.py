@@ -25,8 +25,12 @@ speed.
 
 Diagnostics: a sample is rejected and counted when its weighted gamma
 factor underflows to 0 or is not finite, or when the integrand is not
-finite there.  Rejected samples still count in the sample size.  The
-effective sample size is that of the raw importance weights.
+finite there.  Rejected samples still count in the sample size, as
+zeros.  The variance is the centred sum of squares over the sample size:
+each chunk sums squares about its own mean, and the pairwise reduction
+adds the gap between merged means, so an integrand that is constant after
+weighting reports a stderr at rounding level, not a cancellation residue.
+The effective sample size is that of the raw importance weights.
 
 Bundled integrands: an integrand may return a tuple of components that
 share one draw (the samples, the weights and Y are computed once per
@@ -136,8 +140,9 @@ def _chunk_partials(f, m, nu, power, chol_scale, log_norm, seed, chunk_index, co
 
 
 def _component_partials(fx, weight, w, count):
-    """Partial sums of ``fx * weight``; ``w``, the raw importance weight,
-    only feeds the effective sample size."""
+    """Partial sums of ``fx * weight``: the sum and the centred sum of
+    squares about the chunk mean.  ``w``, the raw importance weight, only
+    feeds the effective sample size."""
     x = fx * (weight if fx.ndim == 1 else weight[:, None, None])
     # a weight that underflowed to 0 says nothing about fx there
     finite = np.isfinite(w) & np.isfinite(weight) & (weight > 0.0)
@@ -147,9 +152,12 @@ def _component_partials(fx, weight, w, count):
         mask = finite if x.ndim == 1 else finite[:, None, None]
         x = np.where(mask, x, 0.0)
         w = np.where(finite, w, 0.0)
+    sum_x = x.sum(axis=0)
+    sq_dev = x - sum_x / count
+    sq_dev *= sq_dev  # in place, so the chunk holds one temporary
     return (
-        x.sum(axis=0),
-        (x * x).sum(axis=0),
+        sum_x,
+        sq_dev.sum(axis=0),
         float(w.sum()),
         float((w * w).sum()),
         count,
@@ -158,20 +166,24 @@ def _component_partials(fx, weight, w, count):
 
 
 def _pairwise_sum(items):
+    """Sum partials pairwise; the centred sums of squares are merged with
+    the gap between the two means (Chan, Golub & LeVeque 1979)."""
     if len(items) == 1:
         return items[0]
     half = len(items) // 2
     left = _pairwise_sum(items[:half])
     right = _pairwise_sum(items[half:])
-    return tuple(l + r for l, r in zip(left, right))
+    sum_x, m2, *rest = (l + r for l, r in zip(left, right))
+    n_left, n_right = left[4], right[4]
+    gap = right[0] / n_right - left[0] / n_left
+    return (sum_x, m2 + gap * gap * (n_left * n_right / (n_left + n_right)), *rest)
 
 
 def _estimate(partials) -> IntegralEstimate:
     """Combine one component's per-chunk partial sums, in chunk order."""
-    sum_x, sum_x2, sum_w, sum_w2, n_total, n_rej = _pairwise_sum(partials)
+    sum_x, m2, sum_w, sum_w2, n_total, n_rej = _pairwise_sum(partials)
     mean = sum_x / n_total
-    var = np.maximum(sum_x2 / n_total - mean * mean, 0.0)
-    stderr = np.sqrt(var / n_total)
+    stderr = np.sqrt(m2 / n_total / n_total)
     ess = (sum_w * sum_w / sum_w2) if sum_w2 > 0.0 else 0.0
     return IntegralEstimate(
         value=float(mean) if np.ndim(mean) == 0 else mean,
@@ -280,22 +292,19 @@ def i_q_numeric(m: int, q, s, t_mat, params: MonteCarloParams):
     return estimates if np.ndim(q) else estimates[0]
 
 
-def q_trace_integral_num(m: int, q, s, params: MonteCarloParams, *, plain: bool = False):
+def q_trace_integral_num(m: int, q, s, params: MonteCarloParams):
     """Monte Carlo oracle for the matrix-valued integral
 
         int Y^[q] exp(-trace Y) det(Y)^s dY_inv = (-1)^q C_q(-s) Gamma_m(s) E .
 
     ``q`` is one degree, giving one estimate, or a sequence of degrees,
-    giving a tuple of estimates in the same order from one shared draw.
-    With ``plain`` the scalar integral of exp(-trace Y) det(Y)^s is
-    estimated from the same draw too and appended last, so one degree
-    then gives a pair.
+    giving a tuple of estimates in the same order from one shared draw;
+    each equals the single-degree estimate bitwise.
     """
     degrees = _degrees(m, q)
 
     def integrand(y):
-        mats = tuple(exterior_power_batch(y, d) for d in degrees)
-        return mats + (np.ones(len(y)),) if plain else mats
+        return tuple(exterior_power_batch(y, d) for d in degrees)
 
     estimates = integrate_invariant(integrand, m, params, t=np.eye(m), power=s)
-    return estimates if np.ndim(q) or plain else estimates[0]
+    return estimates if np.ndim(q) else estimates[0]

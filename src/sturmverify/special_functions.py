@@ -285,15 +285,19 @@ def limit_factor(m: int, k: int) -> float:
     z0 = Fraction(k) + Fraction(1 - m, 2)
     if gamma_m_pole_order(m, z0) == 0:
         return 0.0
-    # only k = m-1 reaches this point, with the single pole factor Gamma(s)
-    regular = math.pi ** (0.25 * m * (m - 1))
+    # only k = m-1 reaches this point, with the single pole factor Gamma(s).
+    # The quotient of the regular gamma factors by c_const(m, k + 2) is
+    # summed in logs: each side alone leaves the double range near genus 24.
+    arg = Fraction(k + 2) - Fraction(m + 1, 2)
+    log_c, sign = log_gamma_m(m, arg)
+    log_value = 0.25 * m * (m - 1) * math.log(math.pi) - log_c + float(m * (arg - z0)) * math.log(FOUR_PI)
+    # a = (m - 1 - nu) / 2 >= 0, so every regular factor is positive
     for nu in range(m):
         a = z0 - Fraction(nu, 2)
         if a != 0:
-            regular *= math.gamma(float(a))
+            log_value += math.lgamma(float(a))
     # the coefficient polynomial divided by its root s, evaluated at s = 0
     slope = Fraction((-1) ** m)
     for j in range(1, m):
         slope *= Fraction(-j, 2)
-    value = regular * FOUR_PI ** float(-m * z0) * float(slope)
-    return value / c_const(m, k + 2)
+    return sign * math.exp(log_value) * float(slope)

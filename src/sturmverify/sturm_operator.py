@@ -18,47 +18,31 @@ from .errors import UnsupportedRegimeError
 from .maass_operator import FourierExpansion, HalfIntegralForm
 from .special_functions import FOUR_PI, c_poch, gamma_m, limit_factor, p_m_closed
 
-REGIME_PHANTOM = "phantom"
-REGIME_VANISHING = "vanishing"
-REGIME_GENERIC = "generic"
-
-
 @dataclass(frozen=True)
 class SturmResult:
-    """One evaluated coefficient, at fixed s or as the analytic s -> 0 limit.
+    """One analytic s -> 0 limit of a normalized coefficient.
 
-    ``s is None`` marks a limit value; the regime is then "phantom" for
-    k = m - 1 and "vanishing" for k >= m.  Fixed-s values are "generic".
+    The regime is "phantom" for k = m - 1 and "vanishing" for k >= m.
     """
 
     m: int
     k: int
     form: HalfIntegralForm
-    s: float | None
     value: float
-    regime: str
-    stderr: float | None = None
 
-    def __post_init__(self):
-        if self.s is None:
-            expected = REGIME_PHANTOM if self.k == self.m - 1 else REGIME_VANISHING
-        else:
-            expected = REGIME_GENERIC
-        if self.regime != expected:
-            raise ValueError(f"regime {self.regime!r} inconsistent with s={self.s}, k={self.k}, m={self.m}")
+    @property
+    def regime(self) -> str:
+        return "phantom" if self.k == self.m - 1 else "vanishing"
 
     def to_json(self) -> dict:
-        data = {"m": self.m, "k": self.k}
-        if self.s is None:
-            data["limit"] = True
-        else:
-            data["s"] = self.s
-        data["T"] = self.form.to_json()
-        data["value"] = self.value
-        if self.stderr is not None:
-            data["stderr"] = self.stderr
-        data["regime"] = self.regime
-        return data
+        return {
+            "m": self.m,
+            "k": self.k,
+            "limit": True,
+            "T": self.form.to_json(),
+            "value": self.value,
+            "regime": self.regime,
+        }
 
 
 def a_closed(m: int, k: int, s, form: HalfIntegralForm, b_t: float) -> float:
@@ -135,8 +119,7 @@ def sturm_limit(m: int, k: int, form: HalfIntegralForm, b_t: float) -> SturmResu
     Raises OverflowError when the value leaves the double range.
     """
     value = _finite(limit_factor(m, k) * float(form.det) * b_t, "s -> 0 limit", form, b_t)
-    regime = REGIME_PHANTOM if k == m - 1 else REGIME_VANISHING
-    return SturmResult(m, k, form, None, value, regime)
+    return SturmResult(m, k, form, value)
 
 
 def sturm_numeric(

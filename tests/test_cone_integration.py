@@ -134,7 +134,29 @@ class TestEstimator:
         est = integrate_invariant(lambda y: np.ones(len(y)), m, params, t=t, power=s)
         want = float(np.linalg.det(t)) ** -s * gamma_m(m, s)
         assert est.value == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert est.stderr <= 1e-15 * abs(est.value)
         assert est.rejected == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_twin_point_stderr_is_the_sample_std(self, m, monkeypatch):
+        # with the constant weight c the stderr is c std(f) / sqrt(n),
+        # whatever the chunking
+        monkeypatch.setenv("STURM_THREADS", "1")
+        rng = np.random.default_rng(50 + m)
+        t = spd(rng, m)
+        s = m / 2 + 0.75
+        params = MonteCarloParams(samples=10 * 997, seed=4, nu=2 * s, chunk_size=997)
+        values = []
+
+        def trace(y):
+            values.append(np.trace(y, axis1=1, axis2=2))
+            return values[-1]
+
+        est = integrate_invariant(trace, m, params, t=t, power=s)
+        assert len(values) == 10
+        c = float(np.linalg.det(t)) ** -s * gamma_m(m, s)
+        values = np.concatenate(values)
+        assert est.stderr == pytest.approx(c * np.std(values) / math.sqrt(values.size), rel=1e-12)
 
 
 class TestMatrixIntegral:
@@ -177,10 +199,6 @@ def lone_q_trace(m, q, s, params):
     return integrate_invariant(lambda y: exterior_power_batch(y, q), m, params, t=np.eye(m), power=s)
 
 
-def lone_plain(m, s, params):
-    return integrate_invariant(lambda y: np.ones(len(y)), m, params, t=np.eye(m), power=s)
-
-
 def assert_identical(a, b):
     assert np.array_equal(a.value, b.value)
     assert np.array_equal(a.stderr, b.stderr)
@@ -209,13 +227,12 @@ class TestBundledDraw:
     @pytest.mark.parametrize("m", [2, 3])
     def test_q_trace_bundle_equals_lone_degrees(self, m, threads, monkeypatch):
         monkeypatch.setenv("STURM_THREADS", threads)
-        *mats, plain = q_trace_integral_num(m, list(range(m + 1)), 2.5, self.PARAMS, plain=True)
+        mats = q_trace_integral_num(m, list(range(m + 1)), 2.5, self.PARAMS)
         assert len(mats) == m + 1
         for q, est in enumerate(mats):
             assert est.value.shape == (math.comb(m, q),) * 2
             assert_identical(est, q_trace_integral_num(m, q, 2.5, self.PARAMS))
             assert_identical(est, lone_q_trace(m, q, 2.5, self.PARAMS))
-        assert_identical(plain, lone_plain(m, 2.5, self.PARAMS))
 
     def test_components_reject_on_their_own(self):
         def clean(y):
@@ -247,9 +264,8 @@ class TestBundledDraw:
                 return lone_i_q(m_, q, float(s_), t, params)
             return tuple(lone_i_q(m_, d, float(s_), t, params) for d in q)
 
-        def q_trace_lone(m_, qs, s_, params, plain=False):
-            mats = tuple(lone_q_trace(m_, d, float(s_), params) for d in qs)
-            return mats + (lone_plain(m_, float(s_), params),) if plain else mats
+        def q_trace_lone(m_, qs, s_, params):
+            return tuple(lone_q_trace(m_, d, float(s_), params) for d in qs)
 
         bundled = suites.run_cone(m=m, s=2.5, samples=4096, seed=3, q_only=q_only)
         monkeypatch.setattr(suites, "i_q_numeric", i_q_lone)

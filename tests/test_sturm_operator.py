@@ -8,7 +8,6 @@ from sturmverify import (
     HalfIntegralForm,
     MonteCarloParams,
     PoleError,
-    SturmResult,
     UnsupportedRegimeError,
     a_closed,
     a_closed_qsum,
@@ -141,20 +140,6 @@ class TestSturmResult:
     def test_unsupported_weight(self):
         with pytest.raises(UnsupportedRegimeError):
             sturm_limit(3, 1, UNIT3, 1.0)
-
-    def test_generic_json_keys(self):
-        res = SturmResult(2, 1, UNIT2, 1.0, 0.5, "generic", stderr=0.01)
-        data = res.to_json()
-        assert set(data) == {"m", "k", "s", "T", "value", "stderr", "regime"}
-        assert data["s"] == 1.0
-
-    def test_inconsistent_regime_rejected(self):
-        with pytest.raises(ValueError):
-            SturmResult(2, 1, UNIT2, None, 1.0, "vanishing")
-        with pytest.raises(ValueError):
-            SturmResult(2, 1, UNIT2, 1.0, 1.0, "phantom")
-        with pytest.raises(ValueError):
-            SturmResult(2, 3, UNIT2, None, 0.0, "phantom")
 
 
 class TestNumericSmoke:

@@ -199,13 +199,6 @@ QUICK_INVENTORY = [
     ),
     ("cone.full_degree_shift", "full-degree closed form equals the shifted multivariate gamma", "rel", 1e-13),
     ("cone.gamma_normalization", "exp(-tr TY) det(Y)^s integrates to det(T)^{-s} Gamma_m(s)", "sigma", 3.0),
-    ("cone.invariance", "the invariant measure ignores congruence substitutions of the integrand", "sigma", 3.0),
-    (
-        "cone.stderr_scaling",
-        "doubling the sample count shrinks stderr by about 1/sqrt(2) (within 20%)",
-        "abs",
-        0.1414213562373095,
-    ),
     (
         "sturm.phantom_chain",
         "analytic s->0 limit of the normalized coefficient equals -(4 pi)^m det(T) b(T), genus 2..3",
